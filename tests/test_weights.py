@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -99,6 +100,32 @@ def test_irrep_weyl_invariance_and_dimension_match():
         for w, m in ms.doubled:
             img = gens[rng.randrange(len(gens))].apply(w)
             assert table.get(tuple(img)) == m
+
+
+# sha256 of repr(ms.doubled), recorded with the level-by-level Freudenthal
+# recursion over all weights; any rewrite must reproduce them byte for byte
+FREUDENTHAL_GOLDEN = [
+    ("G2.sc", (1, 0), "971bafb50687d76623ac287aa07bdbb0d5d5054cd636745774f2e7b751509252"),
+    ("G2.sc", (0, 1), "a7875c951d894c8272596c09a4798f46f3ebc610589dd1aad245ccf86de118c9"),
+    ("B3.sc", (0, 0, 1), "9fb3d06025046ca78358a0c71402b3b90d499e07ab5698336b8af43136a0c1d1"),
+    ("D4.sc", (0, 0, 1, 0), "2c022459ccfe13d26c325b961b5f66d82232554dc1d37bffef53dd64b2017b2a"),
+    ("F4.sc", (0, 0, 0, 1), "5649e35bb871b2b631f49d350227e67ff00a34e7f7b7066a004c67675be274c2"),
+    ("E6.sc", (1, 0, 0, 0, 0, 0),
+     "18da49e0bd1b45ef04924b664067a20b8e27436390819fe43484ecc98f7ca879"),
+    # rank 3 > semisimple rank 2
+    ("GSp4", (1, 0, 0), "bf52cc1e10619f7344f54233a97905f18d754fd4f583766aea5ff44d93122577"),
+    ("GL3", (2, 1, 0), "75436417321e15818cbad5596fc9a88dae4ff0ea78c24cf79877cacf4bde3ffe"),
+    ("C3.sc", (2, 1, 0), "b83cadedbb3966d8b14465ff2e7c0881010e535097f8af6162f55262e302e8e2"),
+    ("B2.adjoint", (Fraction(1, 2), Fraction(1, 2)),
+     "aaf1e232c7fe230c59b6c2c5ba82855207822c2b1383105b7d2abbed89a489b7"),
+    ("C4.sc", (3, 2, 1, 0), "753c3f7061ac1fa9270e6d12f9f053a0b3f021ef493032c39313ce12cf6919f6"),
+]
+
+
+def test_freudenthal_golden():
+    for name, lam, digest in FREUDENTHAL_GOLDEN:
+        ms = irrep_weight_multiset(datum_by_name(name), lam)
+        assert hashlib.sha256(repr(ms.doubled).encode()).hexdigest() == digest, (name, lam)
 
 
 @pytest.mark.parametrize("g,expected", [(1, 1), (2, 4), (3, 64), (4, 4096), (5, 1048576)])
