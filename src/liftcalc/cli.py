@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .acceptance import run_all, run_check
@@ -50,6 +51,17 @@ def _load_json(path):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+@contextmanager
+def _payload(name):
+    """Report key, type and shape errors met while parsing a JSON payload as InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {name} payload: {exc}") from exc
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -83,9 +95,10 @@ def _cqd_from_args(args):
 def cmd_lift_check(args, fmt, seed):
     _, cqd = _cqd_from_args(args)
     payload = _load_json(args.hodge)
-    data = CMEmbeddingData.from_json(payload["cm"])
-    h = HodgeFamily.make(data, {l: tuple(int(x) for x in v)
-                                for l, v in payload["mu"].items()})
+    with _payload("lift-check"):
+        data = CMEmbeddingData.from_json(payload["cm"])
+        h = HodgeFamily.make(data, {l: tuple(int(x) for x in v)
+                                    for l, v in payload["mu"].items()})
     mode = "totally_real" if args.mode == "totally-real" else "imaginary"
     rep = geometric_lift_exists(cqd, h, mode)
     out = rep.to_json()
@@ -99,10 +112,11 @@ def cmd_param_lift(args, fmt, seed):
     _, cqd = _cqd_from_args(args)
     payload = _load_json(args.params)
     pairs = {}
-    for label, pv in payload["pairs"].items():
-        mu = [Fraction(str(x)) for x in pv["mu"]]
-        nu = [Fraction(str(x)) for x in pv["nu"]]
-        pairs[label] = ParameterPair.make(mu, nu)
+    with _payload("param-lift"):
+        for label, pv in payload["pairs"].items():
+            mu = [Fraction(str(x)) for x in pv["mu"]]
+            nu = [Fraction(str(x)) for x in pv["nu"]]
+            pairs[label] = ParameterPair.make(mu, nu)
     recipe = "cm_typeA" if args.recipe == "cm-typeA" else "finite_order"
     rep = lift_archimedean_parameter(cqd, pairs, recipe,
                                      tempered=not args.non_tempered)
@@ -126,8 +140,9 @@ def cmd_classify(args, fmt, seed):
 
 def cmd_torus_lift(args, fmt, seed):
     payload = _load_json(args.input)
-    Q = IntMatrix.from_json(payload["quotient"])
-    lam = tuple(int(x) for x in payload["cocharacter"])
+    with _payload("torus-lift"):
+        Q = IntMatrix.from_json(payload["quotient"])
+        lam = tuple(int(x) for x in payload["cocharacter"])
     lift = torus_lift(Q, lam)
     out = {
         "check": "torus-cocharacter-lift",
@@ -141,10 +156,11 @@ def cmd_torus_lift(args, fmt, seed):
 
 def cmd_hecke(args, fmt, seed):
     payload = _load_json(args.input)
-    data = CMEmbeddingData.from_json(payload["cm"])
-    res = hecke_extension_feasible(data, int(payload["n"]),
-                                   {l: int(v) for l, v in payload["m"].items()},
-                                   bool(payload.get("grunwald_wang", False)))
+    with _payload("hecke-feasible"):
+        data = CMEmbeddingData.from_json(payload["cm"])
+        n, m = int(payload["n"]), {l: int(v) for l, v in payload["m"].items()}
+        grunwald_wang = bool(payload.get("grunwald_wang", False))
+    res = hecke_extension_feasible(data, n, m, grunwald_wang)
     out = {"check": "hecke-extension", "seed": seed,
            "typeA": res.typeA, "finite_order": res.finite_order,
            "annotation": res.annotation}
@@ -154,9 +170,10 @@ def cmd_hecke(args, fmt, seed):
 
 def cmd_galchar(args, fmt, seed):
     payload = _load_json(args.input)
-    data = CMEmbeddingData.from_json(payload["cm"])
-    res = galois_char_feasible(data, int(payload["n"]),
-                               {l: int(v) for l, v in payload["k"].items()})
+    with _payload("galois-char-feasible"):
+        data = CMEmbeddingData.from_json(payload["cm"])
+        n, k = int(payload["n"]), {l: int(v) for l, v in payload["k"].items()}
+    res = galois_char_feasible(data, n, k)
     out = {"check": "fractional-weight-character", "seed": seed,
            "feasible": res is not None}
     if res is not None:

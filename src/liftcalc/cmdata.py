@@ -144,6 +144,8 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict,
     _require_valid(data)
     if n <= 0:
         raise InputError("modulus must be positive")
+    if any(l not in m for l in data.labels):
+        raise InputError("a class must be given at every label")
     m = {l: int(m[l]) % n for l in data.labels}
     for l in data.labels:
         if (m[l] + m[data.conj[l]]) % n != 0:
@@ -182,6 +184,8 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     _require_valid(data)
     if n <= 0:
         raise InputError("modulus must be positive")
+    if any(l not in k for l in data.labels):
+        raise InputError("a class must be given at every label")
     k = {l: int(k[l]) % n for l in data.labels}
 
     # (a) factor through the restriction

@@ -345,19 +345,16 @@ def ext1_to_Z(G: FinAbGroup) -> FinAbGroup:
     return G.torsion_part()
 
 
-def hom_to_Z_rank(G: FinAbGroup) -> int:
-    """Rank of Hom(G, Z); torsion contributes nothing."""
-    return G.free_rank
-
-
-def solve_linear(A: IntMatrix, target) -> tuple | None:
+def solve_linear(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
     """One integer solution x of A x = target, or None.
 
-    Deterministic: the solution comes straight off the Smith normal form.
+    Deterministic: the solution comes straight off the Smith normal form,
+    which a caller that already has it for A may pass as ``form``.
     """
     if A.rows == 0:
         return (0,) * A.cols
-    form = smith_normal_form(A)
+    if form is None:
+        form = smith_normal_form(A)
     c = form.U.apply(target)
     t = [0] * A.cols
     r = form.rank
@@ -454,7 +451,7 @@ def torus_lift(quotient: IntMatrix, lam) -> tuple | None:
     form = smith_normal_form(quotient)
     if form.rank < quotient.rows:
         raise InputError("quotient map is not surjective over Q")
-    x = solve_linear(quotient, lam)
+    x = solve_linear(quotient, lam, form)
     if x is None:
         return None
     if quotient.apply(x) != lam:

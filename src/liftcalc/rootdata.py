@@ -313,10 +313,6 @@ class CenterMap:
         free = self.free_rows.apply(chi)
         return tor, free
 
-    def is_trivial_class(self, chi) -> bool:
-        tor, free = self.class_of(chi)
-        return all(t == 0 for t in tor) and all(f == 0 for f in free)
-
 
 def center_characters(rd: BasedRootDatum) -> CenterMap:
     """Characters of the center: X(T)/(root lattice), computed by SNF."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -149,18 +150,6 @@ class WeightMultiset:
 _FREUDENTHAL_CACHE: dict = {}
 
 
-def _invariant_form(rd: BasedRootDatum):
-    """A Weyl-invariant positive form on the root span via coroot pairings."""
-    pos = positive_roots(rd)
-    coroot_of = _coroot_table(rd)
-    covecs = [coroot_of[b] for b in pos]
-
-    def form(x, y):
-        return sum(sum(a * c for a, c in zip(x, cv)) * sum(b * c for b, c in zip(y, cv))
-                   for cv in covecs)
-    return form
-
-
 def _coroot_table(rd: BasedRootDatum):
     """Coroot vector for every root, transported along the reflection closure."""
     table = {}
@@ -186,8 +175,34 @@ def _coroot_table(rd: BasedRootDatum):
     return table
 
 
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
 def _dominant_doubled(rd, lam2) -> bool:
-    return all(sum(a * b for a, b in zip(lam2, av)) >= 0 for av in rd.simple_coroots)
+    return all(_dot(lam2, av) >= 0 for av in rd.simple_coroots)
+
+
+@lru_cache(maxsize=None)
+def _freudenthal_tables(rd: BasedRootDatum):
+    """Per-datum tables of the Freudenthal recursion: (pos2, gram, simple, rho2, rhov2).
+
+    ``pos2`` pairs each doubled positive root with its image under ``gram``,
+    the Gram matrix of the Weyl-invariant form sum_b <x, b><y, b> over the
+    positive coroots b; ``simple`` holds the (simple root, simple coroot)
+    pairs; ``rho2`` and ``rhov2`` are 2 rho and 2 rho-check.
+    """
+    pos = positive_roots(rd)
+    coroot_of = _coroot_table(rd)
+    covecs = [coroot_of[b] for b in pos]
+    n = rd.rank
+    gram = tuple(tuple(sum(cv[i] * cv[j] for cv in covecs) for j in range(n))
+                 for i in range(n))
+    pos2 = tuple((a2, tuple(_dot(row, a2) for row in gram))
+                 for a2 in (tuple(2 * x for x in b) for b in pos))
+    rho2 = tuple(sum(b[i] for b in pos) for i in range(n))
+    rhov2 = tuple(sum(cv[i] for cv in covecs) for i in range(n))
+    return pos2, gram, tuple(zip(rd.simple_roots, rd.simple_coroots)), rho2, rhov2
 
 
 def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
@@ -195,101 +210,83 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
 
     ``lam`` may be half-integral (spin weights); internally everything is
     doubled.  Results are memoized per datum and highest weight.
+
+    The recursion visits dominant weights only (Moody-Patera, "Fast
+    recursion formula for weight multiplicities", Bull. AMS 7, 1982).
+    These are the dominant mu <= lam, and each mu < lam has a positive
+    root alpha with mu + alpha dominant and <= lam (Stembridge 1998), so
+    subtracting positive roots from lam and keeping dominant results
+    finds them all.  They are taken in order of the height <lam - mu,
+    rho-check>; m(mu + k alpha) is read off the dominant weight of its
+    Weyl orbit, which is higher than mu, and each alpha-string stops at
+    the first non-weight, since root strings through a weight have no
+    gaps.  The simple reflections then expand each Weyl orbit.
     """
-    lam2 = []
-    for x in lam:
-        d = 2 * Fraction(x)
-        if d.denominator != 1:
-            raise InputError("highest weight must be at most half-integral")
-        lam2.append(int(d))
-    lam2 = tuple(lam2)
+    lam2 = tuple(2 * Fraction(x) for x in lam)
+    if any(d.denominator != 1 for d in lam2):
+        raise InputError("highest weight must be at most half-integral")
+    lam2 = tuple(int(d) for d in lam2)
     key = (rd.simple_roots, rd.simple_coroots, rd.rank, lam2)
     if key in _FREUDENTHAL_CACHE:
         return _FREUDENTHAL_CACHE[key]
     if not _dominant_doubled(rd, lam2):
         raise InputError("highest weight must be dominant")
+    pos2, gram, simple, rho2, rhov2 = _freudenthal_tables(rd)
 
-    pos = positive_roots(rd)
-    pos2 = [tuple(2 * x for x in b) for b in pos]
-    form = _invariant_form(rd)
-    rho2 = tuple(int(2 * x) for x in half_sum_positive_roots(rd))
+    def norm(v):
+        return sum(x * _dot(row, v) for x, row in zip(v, gram))
 
-    lam_rho = tuple(a + b for a, b in zip(lam2, rho2))
-    norm_top = form(lam_rho, lam_rho)
+    def dominant(v):
+        while True:
+            for a, av in simple:
+                p = _dot(v, av)
+                if p < 0:
+                    v = tuple(x - p * y for x, y in zip(v, a))
+                    break
+            else:
+                return v
 
-    # antidominantize to find the lowest weight and the level bound
-    low = lam2
-    changed = True
-    refl = simple_reflections(rd)
-    while changed:
-        changed = False
-        for s, av in zip(refl, rd.simple_coroots):
-            if sum(a * b for a, b in zip(low, av)) > 0:
-                low = s.apply(low)
-                changed = True
-    from .rootdata import _root_coordinates
-    coeffs = _root_coordinates(rd, tuple(a - b for a, b in zip(lam2, low)))
-    if coeffs is None:
-        raise AssertionError("lowest weight not reachable in the root lattice")
-    halves = [Fraction(c, 2) for c in coeffs]
-    if any(h.denominator != 1 for h in halves):
-        raise AssertionError("level bound is not integral")
-    max_level = sum(int(h) for h in halves)
+    dom = [lam2]
+    seen = {lam2}
+    for mu in dom:
+        for a2, _ in pos2:
+            nu = tuple(x - y for x, y in zip(mu, a2))
+            if nu not in seen and _dominant_doubled(rd, nu):
+                seen.add(nu)
+                dom.append(nu)
+    dom.sort(key=lambda mu: -_dot(mu, rhov2))
 
+    norm_top = norm(tuple(a + b for a, b in zip(lam2, rho2)))
     mult = {lam2: 1}
-    level = {0: [lam2]}
-    for lv in range(1, max_level + 1):
-        candidates = set()
-        for w in level.get(lv - 1, []):
-            for a2 in [tuple(2 * x for x in b) for b in pos if _is_simple(rd, b)]:
-                candidates.add(tuple(x - y for x, y in zip(w, a2)))
-        cur = []
-        for mu2 in sorted(candidates):
-            mu_rho = tuple(a + b for a, b in zip(mu2, rho2))
-            denom = norm_top - form(mu_rho, mu_rho)
-            if denom == 0:
-                continue
-            total = 0
-            for a2 in pos2:
-                k = 1
-                while True:
-                    w = tuple(x + k * a2[i] for i, x in enumerate(mu2))
-                    m = mult.get(w, 0)
-                    if m == 0 and not _within_cone(rd, lam2, w):
-                        break
-                    if m:
-                        total += m * form(w, a2)
-                    k += 1
-                    if k > max_level + 1:
-                        break
-            if total == 0:
-                continue
-            num = 2 * total
-            if num % denom != 0:
-                raise AssertionError("non-integral multiplicity in the recursion")
-            m = num // denom
-            if m:
-                mult[mu2] = m
-                cur.append(mu2)
-        level[lv] = cur
+    for mu in dom[1:]:
+        total = 0
+        for a2, ga2 in pos2:
+            w = tuple(x + y for x, y in zip(mu, a2))
+            while (m := mult.get(dominant(w))) is not None:
+                total += m * _dot(w, ga2)
+                w = tuple(x + y for x, y in zip(w, a2))
+        denom = norm_top - norm(tuple(a + b for a, b in zip(mu, rho2)))
+        if total <= 0 or denom <= 0:
+            raise AssertionError("dominant weight below lam without a positive multiplicity")
+        if 2 * total % denom != 0:
+            raise AssertionError("non-integral multiplicity in the recursion")
+        mult[mu] = 2 * total // denom
 
-    ms = WeightMultiset(rd.rank, tuple(sorted(mult.items())))
+    full = {}
+    for mu, m in mult.items():
+        full[mu] = m
+        orbit = [mu]
+        for v in orbit:
+            for a, av in simple:
+                p = _dot(v, av)
+                if p > 0:
+                    img = tuple(x - p * y for x, y in zip(v, a))
+                    if img not in full:
+                        full[img] = m
+                        orbit.append(img)
+    ms = WeightMultiset(rd.rank, tuple(sorted(full.items())))
     _FREUDENTHAL_CACHE[key] = ms
     return ms
-
-
-def _is_simple(rd, b):
-    return b in rd.simple_roots
-
-
-def _within_cone(rd, lam2, w2) -> bool:
-    """Is lam2 - w2 a non-negative integer combination of doubled simple roots?"""
-    from .rootdata import _root_coordinates
-    diff = tuple(a - b for a, b in zip(lam2, w2))
-    coeffs = _root_coordinates(rd, diff)
-    if coeffs is None:
-        return False
-    return all(c >= 0 and (c / 2).denominator == 1 for c in coeffs)
 
 
 def weyl_dimension(rd: BasedRootDatum, lam) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liftcalc.cli import main
 
 
@@ -184,6 +186,55 @@ def test_malformed_json_exit(tmp_path, capsys):
     code = main(["torus-lift", str(path)])
     capsys.readouterr()
     assert code == 2
+
+
+_CM_REAL = {"labels": ["v0"], "conj": {"v0": "v0"}, "cm_labels": ["v0"],
+            "restrict": {"v0": "v0"}, "cm_conj": {"v0": "v0"}, "mode": "totally_real"}
+_CM_PAIR = {"labels": ["s0", "s0c"], "conj": {"s0": "s0c", "s0c": "s0"},
+            "cm_labels": ["s0", "s0c"], "restrict": {"s0": "s0", "s0c": "s0c"},
+            "cm_conj": {"s0": "s0c", "s0c": "s0"}, "mode": "cm"}
+_LIFT = ("lift-check", "--group", "C2.sc", "--tilde", "gm", "--mode", "totally-real", "--hodge")
+_PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite-order")
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (_LIFT, {"mu": {"v0": [1, 0]}}),
+    (_LIFT, {"cm": [1], "mu": {"v0": [1, 0]}}),
+    (_LIFT, {"cm": _CM_REAL}),
+    (_LIFT, {"cm": _CM_REAL, "mu": [[1, 0]]}),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1, "x"]}}),
+    (_LIFT, {"cm": _CM_REAL, "mu": {}}),
+    (_LIFT, [1, 2]),
+    (_PARAM, {}),
+    (_PARAM, {"pairs": [1]}),
+    (_PARAM, {"pairs": {"v1": {"nu": ["1"]}}}),
+    (_PARAM, {"pairs": {"v1": {"mu": ["1"]}}}),
+    (_PARAM, {"pairs": {"v1": {"mu": ["x"], "nu": ["1"]}}}),
+    (_PARAM, {"pairs": {"v1": {"mu": ["1/0"], "nu": ["1"]}}}),
+    (("torus-lift",), {"cocharacter": [1]}),
+    (("torus-lift",), {"quotient": [[2, 3]]}),
+    (("torus-lift",), {"quotient": [[2, 3]], "cocharacter": 1}),
+    (("torus-lift",), {"quotient": [[2, 3]], "cocharacter": ["x"]}),
+    (("hecke-feasible",), {"n": 4, "m": {"s0": 1, "s0c": 3}}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "m": {"s0": 1, "s0c": 3}}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": None, "m": {"s0": 1, "s0c": 3}}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": [1, 3]}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1}}),
+    (("galois-char-feasible",), {"n": 2, "k": {"s0": 1, "s0c": 0}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "k": {"s0": 1, "s0c": 0}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": "x", "s0c": 0}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1}}),
+])
+def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_single_check(capsys):

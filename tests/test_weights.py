@@ -6,7 +6,13 @@ from math import comb
 import pytest
 
 from liftcalc.intmat import BoundError, InputError
-from liftcalc.rootdata import datum_by_name, so_odd_datum, sp_datum, weyl_group
+from liftcalc.rootdata import (
+    datum_by_name,
+    simple_reflections,
+    so_odd_datum,
+    sp_datum,
+    weyl_group,
+)
 from liftcalc.weights import (
     LatticeMap,
     WeightMultiset,
@@ -127,6 +133,30 @@ def test_freudenthal_golden():
         ms = irrep_weight_multiset(datum_by_name(name), lam)
         assert hashlib.sha256(repr(ms.doubled).encode()).hexdigest() == digest, (name, lam)
 
+
+
+def _assert_simple_reflection_invariant(rd, ms):
+    table = dict(ms.doubled)
+    for s in simple_reflections(rd):
+        for w, m in ms.doubled:
+            assert table.get(tuple(s.apply(w))) == m
+
+
+def test_irrep_sp10_staircase():
+    rd = sp_datum(5)
+    ms = irrep_weight_multiset(rd, (4, 3, 2, 1, 0))
+    assert ms.dimension == weyl_dimension(rd, (4, 3, 2, 1, 0)) == 2 ** 20
+    # the simple reflections of C5 generate the signed permutations
+    _assert_simple_reflection_invariant(rd, ms)
+
+
+@pytest.mark.parametrize("name,dim", [("E7.sc", 56), ("E8.sc", 248)])
+def test_irrep_e7_e8_last_fundamental(name, dim):
+    rd = datum_by_name(name)
+    lam = (0,) * (rd.rank - 1) + (1,)
+    ms = irrep_weight_multiset(rd, lam)
+    assert ms.dimension == weyl_dimension(rd, lam) == dim
+    _assert_simple_reflection_invariant(rd, ms)
 
 @pytest.mark.parametrize("g,expected", [(1, 1), (2, 4), (3, 64), (4, 4096), (5, 1048576)])
 def test_weyl_dimension_telescopes(g, expected):
@@ -326,9 +356,8 @@ def test_denominator_violation():
         restrict_multiset(f, WeightMultiset.from_doubled(1, [((1,), 1)]))
 
 
-@pytest.mark.slow
 def test_kuga_satake_g4_pullback():
-    # one size beyond the default cases: spin of so27 pulled back to Sp8
+    # spin of so27 pulled back to Sp8
     # is exactly two copies of the 4096-dimensional irreducible
     V = irrep_weight_multiset(sp_datum(4), (3, 2, 1, 0))
     assert V.dimension == weyl_dimension(sp_datum(4), (3, 2, 1, 0)) == 4096
