@@ -390,7 +390,12 @@ def build_parser():
     s.add_argument("--beta", type=int, required=True)
     s.set_defaults(func=cmd_heisenberg)
 
-    s = sub.add_parser("verify-paper", parents=[common], help="run the full acceptance suite")
+    s = sub.add_parser(
+        "verify-paper", parents=[common], help="run the full acceptance suite",
+        description="Run the named acceptance checks.  The exit status depends only on "
+                    "the pass flags: 0 when every check passes, 1 otherwise.  Time budgets "
+                    "depend on the hardware, so an overrun shows only as "
+                    "\"within_budgets\": false in the report.")
     s.add_argument("--check", help="run a single named check")
     s.set_defaults(func=cmd_verify)
     return p

@@ -124,6 +124,19 @@ def _require_valid(data):
         raise InputError(f"invalid embedding data: {diag}")
 
 
+def _classes_mod(data, n: int, classes: dict) -> dict:
+    """The classes mod n at the labels of valid data, given at each label and nowhere else."""
+    _require_valid(data)
+    if n <= 0:
+        raise InputError("modulus must be positive")
+    if any(l not in classes for l in data.labels):
+        raise InputError("a class must be given at every label")
+    stray = set(classes) - set(data.labels)
+    if stray:
+        raise InputError(f"classes given at unknown labels {sorted(map(str, stray))}")
+    return {l: int(classes[l]) % n for l in data.labels}
+
+
 @dataclass(frozen=True)
 class HeckeFeasibility:
     typeA: bool
@@ -141,12 +154,7 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict,
     finite-order extensions additionally need those classes to vanish.
     Classes at conjugation-fixed labels are 2-torsion and unconstrained.
     """
-    _require_valid(data)
-    if n <= 0:
-        raise InputError("modulus must be positive")
-    if any(l not in m for l in data.labels):
-        raise InputError("a class must be given at every label")
-    m = {l: int(m[l]) % n for l in data.labels}
+    m = _classes_mod(data, n, m)
     for l in data.labels:
         if (m[l] + m[data.conj[l]]) % n != 0:
             raise InputError(f"classes at {l!r} and its conjugate are not opposite")
@@ -181,12 +189,7 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     equal".  On success the returned witness family satisfies both
     criteria exactly and reduces to the input classes mod n.
     """
-    _require_valid(data)
-    if n <= 0:
-        raise InputError("modulus must be positive")
-    if any(l not in k for l in data.labels):
-        raise InputError("a class must be given at every label")
-    k = {l: int(k[l]) % n for l in data.labels}
+    k = _classes_mod(data, n, k)
 
     # (a) factor through the restriction
     by_cm = {}

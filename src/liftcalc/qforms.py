@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
-from .intmat import InputError
+from .intmat import BoundError, InputError
+
+# Trial division gives up with BoundError once the divisor passes this
+# cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
+TRIAL_DIVISION_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -102,25 +107,42 @@ def diagonalize(q: QForm) -> list:
     return [m[i][i] for i in range(n)]
 
 
-def squarefree_class(x: Fraction) -> int:
-    """Squarefree integer representing the square class of a nonzero rational."""
+def _factor(n: int) -> dict:
+    """Prime exponents of a positive integer, by bounded trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        if p > TRIAL_DIVISION_CAP:
+            raise BoundError(f"factoring needs trial divisors above {TRIAL_DIVISION_CAP}")
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _square_class(x: Fraction) -> tuple:
+    """The squarefree class of a nonzero rational and the primes dividing it.
+
+    Numerator and denominator are coprime, so the class is the product of
+    their squarefree parts, and each is factored on its own.
+    """
     x = Fraction(x)
     if x == 0:
         raise InputError("square class of zero")
-    n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * n
+    primes = [p for part in (abs(x.numerator), x.denominator)
+              for p, e in _factor(part).items() if e % 2]
+    return (-1 if x < 0 else 1) * prod(primes), primes
+
+
+def squarefree_class(x: Fraction) -> int:
+    """Squarefree integer representing the square class of a nonzero rational."""
+    return _square_class(x)[0]
 
 
 def _legendre(a: int, p: int) -> int:
@@ -184,23 +206,8 @@ class QFormInvariants:
 def relevant_places(classes) -> list:
     places = {2}
     for a in classes:
-        for p in _prime_factors(abs(a)):
-            places.add(p)
+        places.update(_factor(abs(a)))
     return ["inf"] + sorted(places)
-
-
-def _prime_factors(n: int):
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def invariants(q: QForm) -> QFormInvariants:
@@ -211,11 +218,20 @@ def invariants(q: QForm) -> QFormInvariants:
     verified before returning.
     """
     diag = diagonalize(q)
-    classes = [squarefree_class(d) for d in diag]
+    classes, primes = [], {2}
+    for d in diag:
+        c, ps = _square_class(d)
+        classes.append(c)
+        primes.update(ps)
     pos = sum(1 for d in diag if d > 0)
     neg = len(diag) - pos
-    disc = squarefree_class(Fraction(1) * _product(classes))
-    places = relevant_places(classes)
+    # squarefree a, b with g = gcd(a, b): a b = (a/g)(b/g) g^2, so the
+    # discriminant class needs no factoring
+    disc = 1
+    for c in classes:
+        g = gcd(disc, c)
+        disc = (disc // g) * (c // g)
+    places = ["inf"] + sorted(primes)
     hasse = {}
     for place in places:
         s = 1
@@ -223,16 +239,9 @@ def invariants(q: QForm) -> QFormInvariants:
             for j in range(i + 1, len(classes)):
                 s *= hilbert_symbol(classes[i], classes[j], place)
         hasse[place] = s
-    if _product(hasse.values()) != 1:
+    if prod(hasse.values()) != 1:
         raise AssertionError("Hilbert product formula violated; symbol computation broken")
     return QFormInvariants(q.rank, (pos, neg), disc, hasse)
-
-
-def _product(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,17 +269,9 @@ def witt_class_places(q: QForm) -> tuple:
     d = inv.discriminant
     m = q.rank % 8
     bad = []
-    extra_places = set(inv.hasse)
-    for p in relevant_places([d, -1]):
-        extra_places.add(p)
-    for place in sorted(extra_places, key=str):
-        s = inv.hasse.get(place)
-        if s is None:
-            s = 1
-            diag = [squarefree_class(x) for x in diagonalize(q)]
-            for i in range(len(diag)):
-                for j in range(i + 1, len(diag)):
-                    s *= hilbert_symbol(diag[i], diag[j], place)
+    # inf, 2 and every prime dividing d are among the places of inv.hasse
+    for place in sorted(inv.hasse, key=str):
+        s = inv.hasse[place]
         if m in (3, 4):
             s *= hilbert_symbol(-1, -d, place)
         elif m in (5, 6):
@@ -461,7 +462,6 @@ def quaternion_splits_by_search(x: int, y: int) -> bool:
 
 
 def _gcd(a, b):
-    from math import gcd
     return gcd(abs(a), abs(b))
 
 
@@ -480,7 +480,7 @@ def _legendre_isotropic(a: int, b: int, c: int) -> bool:
             vals = [a, b, c]
             g = _gcd(vals[i], vals[j])
             if g > 1:
-                p = next(iter(_prime_factors(g)))
+                p = next(iter(_factor(g)))
                 vals[i] //= p
                 vals[j] //= p
                 vals[k] = squarefree_class(Fraction(vals[k] * p))

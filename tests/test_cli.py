@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from liftcalc import acceptance
 from liftcalc.cli import main
 
 
@@ -88,6 +90,24 @@ def test_plethysm_bound_exit(capsys):
     code = main(["plethysm-check", "--g", "7"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("argv,gram", [
+    (("heisenberg-demo", "--n", "400", "--alpha", "1", "--beta", "3"), None),
+    (("qform-invariants",), [["1000000000000000000000000000057"]]),
+])
+def test_bound_exit_3(tmp_path, capsys, argv, gram):
+    if gram is not None:
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(gram))
+        argv = (*argv, str(path))
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert elapsed < 2.0
 
 
 def test_branch_cli(capsys):
@@ -226,6 +246,8 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
     (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2}),
     (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": "x", "s0c": 0}}),
     (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1}}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3, "zz": 1}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1, "s0c": 0, "zz": 1}}),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"
@@ -242,6 +264,17 @@ def test_verify_single_check(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] and payload["within_budgets"]
+
+
+def test_verify_budget_overrun_exits_0(capsys, monkeypatch):
+    # budgets depend on the hardware, so the exit status follows the pass flags only
+    monkeypatch.setattr(acceptance, "REGISTRY", [
+        (cid, 0.0 if cid == "spin-center-parity" else budget, func)
+        for cid, budget, func in acceptance.REGISTRY])
+    code, out = run(capsys, "verify-paper", "--check", "spin-center-parity")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_pass"] and payload["within_budgets"] is False
 
 
 def test_table_format(capsys):

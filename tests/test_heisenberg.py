@@ -1,8 +1,11 @@
+import random
 from math import gcd
 
 import pytest
 
+from liftcalc import heisenberg
 from liftcalc.heisenberg import (
+    MAX_MODULUS,
     CyclotomicRing,
     character_norm_is_one,
     cyclotomic_polynomial,
@@ -15,11 +18,41 @@ from liftcalc.heisenberg import (
     rep_determinant_matches_closed_form,
     rep_rho,
 )
-from liftcalc.intmat import InputError
+from liftcalc.intmat import BoundError, InputError
 
 
 def units(n):
     return [a for a in range(1, n) if gcd(a, n) == 1]
+
+
+def conj_by_powers(ring, x):
+    """sum_i x_i zeta^{-i}, built from zeta_power alone."""
+    out = ring.zero()
+    for i, c in enumerate(x):
+        out = ring.add(out, ring.scale(c, ring.zeta_power(-i)))
+    return out
+
+
+def twist_equivalent_by_full_scan(r1, r2):
+    """<chi_{r1}, chi * chi_{r2}> = |H_n| for some chi, summed over every element."""
+    n = r1.n
+    ring = CyclotomicRing(n)
+    G = heisenberg_group(n)
+    els = G.elements()
+    chars1 = {g: r1.character(g, ring) for g in els}
+    chars2 = {g: r2.character(g, ring) for g in els}
+    order_vec = ring.scale(G.order, ring.one())
+    for u in range(n):
+        for v in range(n):
+            total = ring.zero()
+            for g in els:
+                a, b, _ = g
+                chi = ring.zeta_power(u * a + v * b)
+                term = ring.mul(chars1[g], conj_by_powers(ring, ring.mul(chi, chars2[g])))
+                total = ring.add(total, term)
+            if total == order_vec:
+                return True
+    return False
 
 
 def test_cyclotomic_polynomials():
@@ -43,6 +76,15 @@ def test_cyclotomic_ring_arithmetic():
         total = ring.add(total, ring.zeta_power(k))
     assert ring.is_zero(total)
     assert ring.conj(ring.zeta_power(2)) == ring.zeta_power(3)
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_conj_matches_powers(n):
+    ring = CyclotomicRing(n)
+    rng = random.Random(n)
+    for _ in range(50):
+        x = tuple(rng.randint(-9, 9) for _ in range(ring.degree))
+        assert ring.conj(x) == conj_by_powers(ring, x)
 
 
 def test_group_order_and_center():
@@ -102,6 +144,8 @@ def test_rep_identity_matrix():
 def test_rep_rejects_non_unit():
     with pytest.raises(InputError):
         rep_rho(4, 2)
+    with pytest.raises(InputError):
+        rep_rho(0, 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -113,6 +157,27 @@ def test_local_global_gap(n):
             same, _ = elementwise_projective_conjugate(r1, r2)
             assert same
             assert globally_twist_equivalent(r1, r2) == (a == b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_twist_equivalence_matches_full_scan(n):
+    for a in units(n):
+        for b in units(n):
+            r1, r2 = rep_rho(n, a), rep_rho(n, b)
+            assert globally_twist_equivalent(r1, r2) == twist_equivalent_by_full_scan(r1, r2)
+
+
+def test_modulus_bound(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started above the modulus bound")
+
+    monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
+    monkeypatch.setattr(heisenberg, "CyclotomicRing", no_scan)
+    r1, r2 = rep_rho(MAX_MODULUS + 1, 1), rep_rho(MAX_MODULUS + 1, 2)
+    with pytest.raises(BoundError):
+        elementwise_projective_conjugate(r1, r2)
+    with pytest.raises(BoundError):
+        globally_twist_equivalent(r1, r2)
 
 
 def test_elementwise_self():

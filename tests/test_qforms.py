@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftcalc.intmat import InputError
+from liftcalc.intmat import BoundError, InputError
 from liftcalc.qforms import (
     QForm,
     diagonalize,
@@ -179,6 +179,23 @@ def test_k3_split_stability(q_eta):
 def test_k3_signature():
     inv = invariants(k3_primitive(2))
     assert inv.signature == (2, 19)
+
+
+def test_squarefree_class_bounded():
+    # a prime above the trial-division cap survives as the cofactor
+    assert squarefree_class(Fraction(-8 * 999983 ** 2 * 1000003, 75)) == -6 * 1000003
+    with pytest.raises(BoundError):
+        squarefree_class(Fraction(1000003 * 1000033))
+
+
+def test_invariants_large_prime_across_entries():
+    # the product of the entries holds 1000003^2, past the trial-division
+    # cap; the discriminant class is found without factoring it
+    p = 1000003
+    inv = invariants(QForm.diagonal_form([3 * p, Fraction(5 * p, 4), 7]))
+    assert inv.discriminant == 105
+    assert inv.signature == (3, 0)
+    assert inv.hasse == {"inf": 1, 2: -1, 3: -1, 5: -1, 7: 1, p: -1}
 
 
 def test_quaternion_search_agrees_with_symbols():
