@@ -21,7 +21,7 @@ from .heisenberg import (
     rep_determinant_matches_closed_form,
     rep_rho,
 )
-from .intmat import IntMatrix, smith_normal_form, torus_lift
+from .intmat import InputError, IntMatrix, smith_normal_form, torus_lift
 from .lifting import (
     HodgeFamily,
     ParameterPair,
@@ -383,7 +383,8 @@ REGISTRY = [
 def run_check(check_id: str, seed: int = 0) -> CheckResult:
     entry = next((e for e in REGISTRY if e[0] == check_id), None)
     if entry is None:
-        raise KeyError(f"unknown check {check_id!r}")
+        valid = ", ".join(e[0] for e in REGISTRY)
+        raise InputError(f"unknown check {check_id!r}; valid checks: {valid}")
     _, budget, func = entry
     rng = random.Random(seed)
     start = time.perf_counter()

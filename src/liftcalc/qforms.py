@@ -97,13 +97,17 @@ def diagonalize(q: QForm) -> list:
                     r[i], r[k] = r[k], r[i]
         if m[i][i] == 0:
             raise InputError("degenerate form")
+        # eliminating v_k -= (m[k][i] / m[i][i]) v_i on both sides leaves the
+        # trailing block as the Schur complement of the pivot
+        pivot = m[i]
         for k in range(i + 1, n):
-            if m[k][i] != 0:
-                f = m[k][i] / m[i][i]
-                for t in range(n):
-                    m[k][t] -= f * m[i][t]
-                for t in range(n):
-                    m[t][k] -= f * m[t][i]
+            row = m[k]
+            if row[i] != 0:
+                f = row[i] / pivot[i]
+                for t in range(i + 1, n):
+                    row[t] -= f * pivot[t]
+                row[i] = 0
+        pivot[i + 1:] = [0] * (n - i - 1)
     return [m[i][i] for i in range(n)]
 
 

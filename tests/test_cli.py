@@ -1,10 +1,14 @@
 import json
+import random
 import time
+from math import gcd
 
 import pytest
 
 from liftcalc import acceptance
 from liftcalc.cli import main
+from liftcalc.heisenberg import MAX_MODULUS
+from liftcalc.lifting import MAX_CLASSIFY_RANK
 
 
 def run(capsys, *argv):
@@ -95,6 +99,7 @@ def test_plethysm_bound_exit(capsys):
 @pytest.mark.parametrize("argv,gram", [
     (("heisenberg-demo", "--n", "400", "--alpha", "1", "--beta", "3"), None),
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
+    (("classify-simple-types", "--max-rank", "1000000"), None),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -108,6 +113,64 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     assert code == 3
     assert len(err.strip().splitlines()) == 1
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-paper", "--check", "no-such-check"),
+    ("classify-simple-types", "--max-rank", "-3"),
+    ("classify-simple-types", "--max-rank", "0"),
+])
+def test_argument_errors_exit_2(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_unknown_check_lists_valid_ids(capsys):
+    assert main(["verify-paper", "--check", "no-such-check"]) == 2
+    err = capsys.readouterr().err
+    assert all(cid in err for cid, _, _ in acceptance.REGISTRY)
+
+
+def _fuzz_argv(rng, kind):
+    if kind == "verify-paper":
+        ids = [cid for cid, _, _ in acceptance.REGISTRY]
+        check = rng.choice(ids) if rng.random() < 0.5 else rng.choice(
+            ("", "no-such-check", rng.choice(ids).upper(), rng.choice(ids) + "-x"))
+        return [kind, "--check", check]
+    if kind == "classify-simple-types":
+        rank = rng.choice((rng.randint(-5, 0), rng.randint(1, 6),
+                           rng.randint(MAX_CLASSIFY_RANK + 1, 10 ** 6)))
+        return [kind, "--max-rank", str(rank)]
+    # moduli stay where the scans are fast, or above the bound; most
+    # multipliers are units, so that some pairs get a full report
+    n = rng.choice((rng.randint(-3, 12), rng.randint(MAX_MODULUS + 1, 10 ** 6)))
+    pair = []
+    while len(pair) < 2:
+        x = rng.randint(-20, 20)
+        if gcd(x, n) == 1 or rng.random() < 0.2:
+            pair.append(x)
+    return [kind, "--n", str(n), "--alpha", str(pair[0]), "--beta", str(pair[1])]
+
+
+def test_cli_fuzz(capsys):
+    rng = random.Random(20121)
+    codes = set()
+    for case in range(30):
+        argv = _fuzz_argv(rng, ("verify-paper", "classify-simple-types", "heisenberg-demo")[case % 3])
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        # a report goes to stdout; a refused input gets one stderr line
+        assert len(err.strip().splitlines()) == (1 if code in (2, 3) else 0), argv
+        assert elapsed < 3.0, argv
+        codes.add(code)
+    assert {0, 2, 3} <= codes
 
 
 def test_branch_cli(capsys):

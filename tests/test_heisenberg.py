@@ -7,6 +7,7 @@ from liftcalc import heisenberg
 from liftcalc.heisenberg import (
     MAX_MODULUS,
     CyclotomicRing,
+    MonomialRep,
     character_norm_is_one,
     cyclotomic_polynomial,
     determinant_closed_form,
@@ -53,6 +54,30 @@ def twist_equivalent_by_full_scan(r1, r2):
             if total == order_vec:
                 return True
     return False
+
+
+def elementwise_by_full_scan(r1, r2):
+    """The least matching scalar shift at each of the n^3 elements, scanned one by one."""
+    witnesses = {}
+    for g in heisenberg_group(r1.n).elements():
+        e1 = r1.rho(g).eigenvalue_multiset()
+        m2 = r2.rho(g)
+        found = None
+        for k in range(r1.n):
+            if m2.scale(k).eigenvalue_multiset() == e1:
+                found = k
+                break
+        if found is None:
+            return False, witnesses
+        witnesses[g] = found
+    return True, witnesses
+
+
+class AnyAlphaRep(MonomialRep):
+    """The same monomial formula with alpha not required to be a unit."""
+
+    def __post_init__(self):
+        pass
 
 
 def test_cyclotomic_polynomials():
@@ -165,6 +190,46 @@ def test_twist_equivalence_matches_full_scan(n):
         for b in units(n):
             r1, r2 = rep_rho(n, a), rep_rho(n, b)
             assert globally_twist_equivalent(r1, r2) == twist_equivalent_by_full_scan(r1, r2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_elementwise_matches_full_scan(n):
+    for a in units(n):
+        for b in units(n):
+            r1, r2 = rep_rho(n, a), rep_rho(n, b)
+            same, wit = elementwise_projective_conjugate(r1, r2)
+            want_same, want_wit = elementwise_by_full_scan(r1, r2)
+            assert same == want_same
+            assert list(wit.items()) == list(want_wit.items())
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_elementwise_partial_witnesses_match_full_scan(n):
+    # non-unit alphas make some fibre fail, so the partial witness dicts are compared too
+    verdicts = set()
+    for a in range(n):
+        for b in range(n):
+            r1, r2 = AnyAlphaRep(n, a), AnyAlphaRep(n, b)
+            same, wit = elementwise_projective_conjugate(r1, r2)
+            want_same, want_wit = elementwise_by_full_scan(r1, r2)
+            assert same == want_same
+            assert list(wit.items()) == list(want_wit.items())
+            verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_character_is_trace(n):
+    ring = CyclotomicRing(n)
+    for alpha in units(n):
+        r = rep_rho(n, alpha)
+        for g in heisenberg_group(n).elements():
+            m = r.rho(g).matrix()
+            trace = ring.zero()
+            for j in range(n):
+                if m[j][j] is not None:
+                    trace = ring.add(trace, ring.zeta_power(m[j][j]))
+            assert r.character(g, ring) == trace
 
 
 def test_modulus_bound(monkeypatch):

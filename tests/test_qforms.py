@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -52,6 +53,86 @@ def test_diagonalize_e8_positive():
 def test_diagonalize_degenerate_rejected():
     with pytest.raises(InputError):
         diagonalize(QForm.diagonal_form([1, 0]))
+
+
+def diagonalize_two_sided(q):
+    """Diagonal entries by full row and column passes at each pivot."""
+    n = q.rank
+    m = [list(r) for r in q.gram]
+    for i in range(n):
+        if m[i][i] == 0:
+            swap = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for r in m:
+                    r[i], r[swap] = r[swap], r[i]
+            else:
+                found = next(((k, l) for k in range(i, n) for l in range(i, n)
+                              if k != l and m[k][l] != 0), None)
+                if found is None:
+                    raise InputError("degenerate form")
+                k, l = found
+                for t in range(n):
+                    m[k][t] += m[l][t]
+                for t in range(n):
+                    m[t][k] += m[t][l]
+                m[i], m[k] = m[k], m[i]
+                for r in m:
+                    r[i], r[k] = r[k], r[i]
+        if m[i][i] == 0:
+            raise InputError("degenerate form")
+        for k in range(i + 1, n):
+            if m[k][i] != 0:
+                f = m[k][i] / m[i][i]
+                for t in range(n):
+                    m[k][t] -= f * m[i][t]
+                for t in range(n):
+                    m[t][k] -= f * m[t][i]
+    return [m[i][i] for i in range(n)]
+
+
+def _det(rows):
+    m = [list(r) for r in rows]
+    n, det = len(m), Fraction(1)
+    for i in range(n):
+        p = next((k for k in range(i, n) if m[k][i] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            det = -det
+        det *= m[i][i]
+        for k in range(i + 1, n):
+            f = m[k][i] / m[i][i]
+            for t in range(i, n):
+                m[k][t] -= f * m[i][t]
+    return det
+
+
+def test_diagonalize_matches_two_sided():
+    rng = random.Random(7)
+    degenerate = 0
+    for trial in range(2000):
+        n = rng.randint(1, 7)
+        g = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if trial % 10 < 3:
+            # a zero diagonal sends every pivot through the swap or hyperbolic branch
+            for k in range(n):
+                g[k][k] = Fraction(0)
+        q = QForm.from_gram(g)
+        try:
+            want = diagonalize_two_sided(q)
+        except InputError:
+            degenerate += 1
+            with pytest.raises(InputError):
+                diagonalize(q)
+            continue
+        got = diagonalize(q)
+        assert got == want
+        assert prod(got) == _det(g)
+    assert 0 < degenerate < 200
 
 
 def test_hilbert_symbol_table():
@@ -117,17 +198,6 @@ def test_invariants_congruence_invariant():
         places = set(base.hasse) | set(inv2.hasse)
         for p in places:
             assert base.hasse.get(p, 1) == inv2.hasse.get(p, 1)
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        out += (-1) ** j * m[0][j] * _det(sub)
-    return out
 
 
 def test_product_formula_random():
