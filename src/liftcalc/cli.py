@@ -194,16 +194,19 @@ def cmd_spin_weights(args, fmt, seed):
 
 
 def _parse_branch_target(to: str):
-    if "*" in to:
-        a, t = to.split("*")
-        return ("pair", int(a.strip().removeprefix("so")), int(t.strip().removeprefix("so")))
-    base, _, power = to.partition("^")
-    power = int(power) if power else 1
-    base = base.strip()
-    if base.startswith("so"):
-        return ("so", int(base[2:]), power)
-    if base.startswith("gl"):
-        return ("gl", int(base[2:]), power)
+    try:
+        if "*" in to:
+            a, t = to.split("*")
+            return ("pair", int(a.strip().removeprefix("so")), int(t.strip().removeprefix("so")))
+        base, _, power = to.partition("^")
+        power = int(power) if power else 1
+        base = base.strip()
+        if base.startswith("so"):
+            return ("so", int(base[2:]), power)
+        if base.startswith("gl"):
+            return ("gl", int(base[2:]), power)
+    except ValueError:
+        pass  # a malformed number or split gets the same message as an unknown form
     raise InputError(f"cannot parse branch target {to!r}")
 
 
@@ -238,7 +241,10 @@ def cmd_plethysm(args, fmt, seed):
 
 def cmd_dim(args, fmt, seed):
     rd = datum_by_name(args.group)
-    lam = [Fraction(x) for x in args.weight.split(",")]
+    try:
+        lam = [Fraction(x) for x in args.weight.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse weight {args.weight!r}: {exc}") from exc
     out = {"check": "weyl-dimension", "seed": seed,
            "group": args.group, "weight": [str(x) for x in lam],
            "dimension": weyl_dimension(rd, lam)}

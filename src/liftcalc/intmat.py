@@ -8,6 +8,7 @@ cocharacters through quotient maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -345,36 +346,59 @@ def ext1_to_Z(G: FinAbGroup) -> FinAbGroup:
     return G.torsion_part()
 
 
-def solve_linear(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
-    """One integer solution x of A x = target, or None.
+def solve_rational(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
+    """One rational solution x of A x = target, or None when there is none.
 
-    Deterministic: the solution comes straight off the Smith normal form,
-    which a caller that already has it for A may pass as ``form``.
+    x = V (c / d) with c = U target, read off the Smith normal form, which a
+    caller that already has it for A may pass as ``form``.  Entries of c / d
+    that divide exactly stay ``int``, so an integral solution is built
+    without a ``Fraction``.
     """
     if A.rows == 0:
         return (0,) * A.cols
     if form is None:
         form = smith_normal_form(A)
     c = form.U.apply(target)
-    t = [0] * A.cols
     r = form.rank
-    for i in range(A.rows):
-        if i < r:
-            d = form.D[i, i]
-            if c[i] % d != 0:
-                return None
-            t[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    return form.V.apply(t)
+    if any(c[r:]):
+        return None
+    t = [ci // d if ci % d == 0 else Fraction(ci, d)
+         for ci, d in zip(c, form.invariant_factors)]
+    return form.V.apply(t + [0] * (A.cols - r))
 
 
-def kernel_basis(A: IntMatrix) -> list:
+def solve_linear(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
+    """One integer solution x of A x = target, or None.
+
+    The integral case of ``solve_rational``: V is unimodular, so x is
+    integral exactly when c / d is, and no entry is then a ``Fraction``.
+    """
+    x = solve_rational(A, target, form)
+    if x is None or any(isinstance(v, Fraction) for v in x):
+        return None
+    return x
+
+
+def kernel_basis(A: IntMatrix, form: SmithForm | None = None) -> list:
     """Basis (list of column vectors) of the integer kernel of A."""
     if A.rows == 0:
         return [tuple(1 if i == j else 0 for i in range(A.cols)) for j in range(A.cols)]
-    form = smith_normal_form(A)
+    if form is None:
+        form = smith_normal_form(A)
     return [form.V.col(j) for j in range(form.rank, A.cols)]
+
+
+def congruence_system(A: IntMatrix, moduli) -> IntMatrix:
+    """The matrix B = [A | -m e_i] with one column per nonzero m = moduli[i].
+
+    A x = t with row i read mod moduli[i] exactly when B (x, y) = t for some
+    integer vector y.
+    """
+    mod_rows = [i for i in range(A.rows) if moduli[i] != 0]
+    aug = [list(A.row(i)) + [0] * len(mod_rows) for i in range(A.rows)]
+    for k, i in enumerate(mod_rows):
+        aug[i][A.cols + k] = -moduli[i]
+    return IntMatrix(A.rows, A.cols + len(mod_rows), tuple(tuple(r) for r in aug))
 
 
 def solve_congruence(A: IntMatrix, target, moduli):
@@ -384,17 +408,12 @@ def solve_congruence(A: IntMatrix, target, moduli):
     """
     if A.rows == 0:
         return (0,) * A.cols, kernel_basis(A)
-    rows, cols = A.rows, A.cols
-    mod_cols = [i for i in range(rows) if moduli[i] != 0]
-    aug = [list(A.row(i)) + [0] * len(mod_cols) for i in range(rows)]
-    for k, i in enumerate(mod_cols):
-        aug[i][cols + k] = -moduli[i]
-    B = IntMatrix.from_rows(aug)
-    part = solve_linear(B, target)
+    B = congruence_system(A, moduli)
+    form = smith_normal_form(B)
+    part = solve_linear(B, target, form)
     if part is None:
         return None
-    ker = kernel_basis(B)
-    return tuple(part[:cols]), [tuple(k[:cols]) for k in ker]
+    return tuple(part[:A.cols]), [tuple(k[:A.cols]) for k in kernel_basis(B, form)]
 
 
 def congruence_kernel_basis(A: IntMatrix, moduli) -> list:
@@ -404,36 +423,25 @@ def congruence_kernel_basis(A: IntMatrix, moduli) -> list:
     vectors of Z^cols; a Smith reduction of their span produces an honest
     basis.
     """
-    sol = solve_congruence(A, tuple([0] * A.rows), moduli)
-    _, ker = sol
+    _, ker = solve_congruence(A, tuple([0] * A.rows), moduli)
     if not ker:
         return []
     M = IntMatrix.from_rows([list(r) for r in zip(*ker)])  # columns = generators
     form = smith_normal_form(M)
-    # U^-1 * D spans the same lattice; its nonzero columns are a basis
-    uinv = invert_unimodular(form.U)
-    basis = []
-    for j in range(form.rank):
-        d = form.D[j, j]
-        basis.append(tuple(uinv[i, j] * d for i in range(M.rows)))
-    return basis
+    # M V = U^-1 D spans the same lattice; its nonzero columns are a basis
+    return [M.apply(form.V.col(j)) for j in range(form.rank)]
 
 
 def invert_unimodular(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = U.rows
-    det = U.det()
-    if det not in (1, -1):
+    """Exact inverse of a unimodular integer matrix.
+
+    On the Smith form U' U V = D of a unimodular U, D is the identity, so
+    the solutions of U x = e_j are the columns of V U'.
+    """
+    form = smith_normal_form(U)
+    if U.rows != U.cols or form.invariant_factors != (1,) * U.rows:
         raise InputError("matrix is not unimodular")
-    # adjugate via cofactors; sizes here are small
-    cof = [[0] * n for _ in range(n)]
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            sub = IntMatrix.from_rows([[U[r, c] for c in idx if c != j] for r in idx if r != i])
-            cof[j][i] = (-1) ** (i + j) * sub.det()
-    inv = [[c * det for c in row] for row in cof]  # det is +-1
-    return IntMatrix.from_rows(inv)
+    return form.V * form.U
 
 
 def torus_lift(quotient: IntMatrix, lam) -> tuple | None:

@@ -9,8 +9,9 @@ table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
 
 from .intmat import (
@@ -19,11 +20,12 @@ from .intmat import (
     IntMatrix,
     cokernel_invariants,
     congruence_kernel_basis,
+    congruence_system,
     invert_unimodular,
     kernel_basis,
     smith_normal_form,
-    solve_congruence,
     solve_linear,
+    solve_rational,
 )
 
 
@@ -137,14 +139,14 @@ def simple_reflections(rd: BasedRootDatum) -> list:
             for a, av in zip(rd.simple_roots, rd.simple_coroots)]
 
 
-_POSROOT_CACHE: dict = {}
-
-
 def positive_roots(rd: BasedRootDatum) -> tuple:
     """Positive roots enumerated by reflection closure of the simple roots."""
-    key = (rd.simple_roots, rd.simple_coroots, rd.rank)
-    if key in _POSROOT_CACHE:
-        return _POSROOT_CACHE[key]
+    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)
+
+
+@cache
+def _positive_roots(rank, simple_roots, simple_coroots):
+    rd = BasedRootDatum(rank, simple_roots, simple_coroots)
     _require_valid(rd)
     refl = simple_reflections(rd)
     roots = set(rd.simple_roots)
@@ -158,9 +160,7 @@ def positive_roots(rd: BasedRootDatum) -> tuple:
                     roots.add(img)
                     nxt.append(img)
         frontier = nxt
-    pos = tuple(sorted(b for b in roots if _is_positive(rd, b)))
-    _POSROOT_CACHE[key] = pos
-    return pos
+    return tuple(sorted(b for b in roots if _is_positive(rd, b)))
 
 
 def _is_positive(rd, beta):
@@ -169,37 +169,17 @@ def _is_positive(rd, beta):
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
+@cache
+def _simple_root_system(rank, roots):
+    """The matrix whose columns are the simple roots, and its Smith form."""
+    A = IntMatrix.from_rows([[r[i] for r in roots] for i in range(rank)])
+    return A, smith_normal_form(A)
+
+
 def _root_coordinates(rd, vec):
     """Exact coordinates of vec in the simple-root basis, or None."""
-    cols = rd.simple_roots
-    l = len(cols)
-    # Gaussian elimination over Q on the augmented system
-    m = [[Fraction(cols[j][i]) for j in range(l)] + [Fraction(vec[i])] for i in range(rd.rank)]
-    piv = 0
-    pivots = []
-    for col in range(l):
-        r = next((i for i in range(piv, rd.rank) if m[i][col] != 0), None)
-        if r is None:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        m[piv] = [x / m[piv][col] for x in m[piv]]
-        for i in range(rd.rank):
-            if i != piv and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
-        pivots.append(col)
-        piv += 1
-    coeffs = [Fraction(0)] * l
-    for i, col in enumerate(pivots):
-        coeffs[col] = m[i][l]
-    for i in range(piv, rd.rank):
-        if m[i][l] != 0:
-            return None
-    # confirm solution (pivots may not cover all columns)
-    for i in range(rd.rank):
-        if sum(coeffs[j] * cols[j][i] for j in range(l)) != vec[i]:
-            return None
-    return coeffs
+    A, form = _simple_root_system(rd.rank, rd.simple_roots)
+    return solve_rational(A, vec, form)
 
 
 def in_root_lattice(rd: BasedRootDatum, vec) -> bool:
@@ -242,56 +222,30 @@ def weyl_group(rd: BasedRootDatum) -> WeylGroup:
     return WeylGroup(tuple(gens), len(seen))
 
 
-def _vector_with_pairings(rd: BasedRootDatum, values):
-    """A rational vector v with <v, alpha_i^vee> = values[i] for all i."""
-    l = rd.semisimple_rank
-    m = [[Fraction(rd.simple_coroots[i][j]) for j in range(rd.rank)] + [Fraction(values[i])]
-         for i in range(l)]
-    piv = 0
-    pivots = []
-    for col in range(rd.rank):
-        r = next((i for i in range(piv, l) if m[i][col] != 0), None)
-        if r is None:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        m[piv] = [x / m[piv][col] for x in m[piv]]
-        for i in range(l):
-            if i != piv and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
-        pivots.append(col)
-        piv += 1
-        if piv == l:
-            break
-    v = [Fraction(0)] * rd.rank
-    for i, col in enumerate(pivots):
-        v[col] = m[i][rd.rank]
-    return tuple(v)
-
-
 def longest_element_is_minus_one(rd: BasedRootDatum) -> bool:
     """Does the longest Weyl element act as -1 on the root span?
 
-    Decided by anti-dominantizing a regular vector with pairwise distinct
-    coroot pairings (2*rho-hat would not do: w0 negates it in every type).
+    Decided by anti-dominantizing a vector v = sum_j c_j alpha_j of the root
+    span with pairwise distinct coroot pairings (2*rho-hat would not do: w0
+    negates it in every type).  In these coordinates the reflection s_i
+    lowers c_i by <v, alpha_i^vee> = sum_j c_j C[j][i].
     """
     _require_valid(rd)
     l = rd.semisimple_rank
     if l == 0:
         return True
-    v = _vector_with_pairings(rd, [i + 1 for i in range(l)])
-    cur = v
-    coroots = rd.simple_coroots
-    roots = rd.simple_roots
+    C = rd.cartan_matrix()
+    v = solve_rational(C.transpose(), [i + 1 for i in range(l)])
+    cur = list(v)
     changed = True
     while changed:
         changed = False
-        for a, av in zip(roots, coroots):
-            p = sum(x * y for x, y in zip(cur, av))
+        for i in range(l):
+            p = sum(cur[j] * C[j, i] for j in range(l))
             if p > 0:
-                cur = tuple(x - p * Fraction(y) for x, y in zip(cur, a))
+                cur[i] -= p
                 changed = True
-    return cur == tuple(-x for x in v)
+    return cur == [-x for x in v]
 
 
 @dataclass(frozen=True)
@@ -480,21 +434,23 @@ def datum_by_name(name: str) -> BasedRootDatum:
     """Resolve names like "C2.sc", "E7.adjoint", "GSp4", "GL3", "SO5"."""
     if name in _BUILTIN_EXTRAS:
         return _BUILTIN_EXTRAS[name]()
-    if name.startswith("GSp"):
-        m = int(name[3:])
-        if m % 2:
-            raise InputError("GSp rank must be even")
-        return gsp_datum(m // 2)
-    if name.startswith("GL"):
-        return gl_datum(int(name[2:]))
-    if name.startswith("SO"):
-        m = int(name[2:])
-        if m % 2 == 0:
-            raise InputError("use simple_type for even orthogonal data")
-        return so_odd_datum((m - 1) // 2)
     try:
+        if name.startswith("GSp"):
+            m = int(name[3:])
+            if m % 2:
+                raise InputError("GSp rank must be even")
+            return gsp_datum(m // 2)
+        if name.startswith("GL"):
+            return gl_datum(int(name[2:]))
+        if name.startswith("SO"):
+            m = int(name[2:])
+            if m % 2 == 0:
+                raise InputError("use simple_type for even orthogonal data")
+            return so_odd_datum((m - 1) // 2)
         typ, iso = name.split(".")
         family, rank = typ[0], int(typ[1:])
+    except InputError:
+        raise
     except (ValueError, IndexError) as exc:
         raise InputError(f"cannot parse datum name {name!r}") from exc
     return simple_type(family, rank, iso)
@@ -525,22 +481,25 @@ class CentralQuotientData:
     free_dirs: int                   # normalized directions mapping to the free part
     torsion_lifts: tuple             # u_i in X(T) lifting the normalized torsion basis classes
     fiber_basis: IntMatrix           # columns: basis of X(Ttilde) inside X(T) + X(Ztilde)
-    _lambda_cache: tuple | None = field(default=None, repr=False)
 
     @property
     def r(self) -> int:
         return len(self.d)
 
+    @cached_property
+    def _class_system(self):
+        """The congruence system of embed * basis_change, and its Smith form."""
+        B = congruence_system(self.embed * self.basis_change,
+                              self.center.moduli + (0,) * self.center.group.free_rank)
+        return B, smith_normal_form(B)
+
     def normalized_class(self, chi):
         """Coordinates (k_i mod d_i; free part) of the class of chi in X(Z_G)."""
         tor, free = self.center.class_of(chi)
-        target = list(tor) + list(free)
-        mods = list(self.center.moduli) + [0] * len(free)
-        EN = self.embed * self.basis_change
-        sol = solve_congruence(EN, tuple(target), tuple(mods))
-        if sol is None:
+        B, form = self._class_system
+        x = solve_linear(B, tuple(tor) + tuple(free), form)
+        if x is None:
             raise AssertionError("normalized coordinate solve failed on a surjective map")
-        x = sol[0]
         ks = tuple(x[i] % self.d[i] for i in range(self.r))
         free_coords = tuple(x[self.r + self.trivial_dirs + j]
                             for j in range(self.free_dirs))
@@ -569,7 +528,7 @@ class CentralQuotientData:
         free_z = tuple(cls_z[len(self.center.moduli):])
         return tor_c == tor_z and tuple(free_c) == free_z
 
-    @property
+    @cached_property
     def lambda_lifts(self) -> tuple:
         """Dominant functionals on X(Ttilde) dual to the kernel generators d_i w_i.
 
@@ -578,11 +537,6 @@ class CentralQuotientData:
         extended group, chosen to minimize the sum of root values (ties
         broken lexicographically) within a bounded lattice search.
         """
-        if self._lambda_cache is None:
-            self._lambda_cache = self._compute_lambda_lifts()
-        return self._lambda_cache
-
-    def _compute_lambda_lifts(self):
         n = self.G.rank
         m = self.ztilde_rank
         B = self.fiber_basis
@@ -710,18 +664,18 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
     if group_from_quotient != center.group:
         raise AssertionError("quotient of X(Ztilde) does not match X(Z_G)")
     # lifts of the normalized torsion basis classes to X(T)
-    torsion_lifts = []
     EN = embed * basis_change
+    rows = [list(center.tor_rows.row(t)) for t in range(r0)] + \
+           [list(center.free_rows.row(t)) for t in range(f0)]
+    B = congruence_system(IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, rd.rank),
+                          moduli)
+    form = smith_normal_form(B) if d else None
+    torsion_lifts = []
     for i in range(len(d)):
-        cls = EN.col(i)
-        target = tuple(cls)
-        rows = [list(center.tor_rows.row(t)) for t in range(r0)] + \
-               [list(center.free_rows.row(t)) for t in range(f0)]
-        A = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, rd.rank)
-        sol = solve_congruence(A, target, moduli)
-        if sol is None:
+        x = solve_linear(B, EN.col(i), form)
+        if x is None:
             raise AssertionError("restriction X(T) -> X(Z_G) failed to hit a class")
-        torsion_lifts.append(sol[0])
+        torsion_lifts.append(x[:rd.rank])
     # X(Ttilde) = {(chi, psi) : chi and psi agree on Z_G}
     n = rd.rank
     pi_rows = []

@@ -23,6 +23,11 @@ from .rootdata import (
     sp_datum,
 )
 
+# Largest rank spin_weight_multiset accepts: it enumerates 2^rank sign
+# vectors.  ``spin-weights --family B`` takes 2.2 s at rank 15 and 4.4-4.7 s
+# at rank 16 on a 2-vCPU Xeon with Python 3.11.
+MAX_SPIN_RANK = 15
+
 
 @dataclass(frozen=True)
 class WeightMultiset:
@@ -327,6 +332,8 @@ def spin_weight_multiset(n: int, family: str, half: str = "both") -> WeightMulti
         raise InputError("half must be plus, minus, or both")
     if n < 0:
         raise InputError("rank must be non-negative")
+    if n > MAX_SPIN_RANK:
+        raise BoundError(f"spin rank {n} exceeds the bound {MAX_SPIN_RANK}")
     if n == 0:
         return WeightMultiset.from_doubled(0, [((), 1)])
     items = []

@@ -9,6 +9,7 @@ from liftcalc import acceptance
 from liftcalc.cli import main
 from liftcalc.heisenberg import MAX_MODULUS
 from liftcalc.lifting import MAX_CLASSIFY_RANK
+from liftcalc.weights import MAX_SPIN_RANK
 
 
 def run(capsys, *argv):
@@ -100,6 +101,7 @@ def test_plethysm_bound_exit(capsys):
     (("heisenberg-demo", "--n", "400", "--alpha", "1", "--beta", "3"), None),
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
     (("classify-simple-types", "--max-rank", "1000000"), None),
+    (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -119,6 +121,12 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     ("verify-paper", "--check", "no-such-check"),
     ("classify-simple-types", "--max-rank", "-3"),
     ("classify-simple-types", "--max-rank", "0"),
+    ("dim", "--group", "C3.sc", "--weight", "x"),
+    ("dim", "--group", "C3.sc", "--weight", "1/0,0,0"),
+    ("dim", "--group", "GSpx", "--weight", "1"),
+    ("branch", "--to", "soX"),
+    ("branch", "--to", "so4*so"),
+    ("branch", "--to", "so2*so2*so2"),
 ])
 def test_argument_errors_exit_2(capsys, argv):
     code = main(list(argv))

@@ -197,9 +197,33 @@ def test_solve_congruence():
     assert solve_congruence(B, (1, 0), (2, 0)) is None
 
 
+def invert_by_cofactors(U):
+    """Oracle: the adjugate of a unimodular U divided by det(U) = +-1."""
+    n = U.rows
+    det = U.det()
+    if det not in (1, -1):
+        raise InputError("matrix is not unimodular")
+    cof = [[0] * n for _ in range(n)]
+    idx = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            sub = IntMatrix.from_rows([[U[r, c] for c in idx if c != j] for r in idx if r != i])
+            cof[j][i] = (-1) ** (i + j) * sub.det()
+    return IntMatrix.from_rows([[c * det for c in row] for row in cof])
+
+
 def test_invert_unimodular():
     U = IntMatrix.from_rows([[1, 2], [0, 1]])
     assert (U * invert_unimodular(U)).entries == IntMatrix.identity(2).entries
+    assert invert_unimodular(IntMatrix.from_rows([[-1]])) == IntMatrix.from_rows([[-1]])
+    rng = random.Random(4422)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        U = random_unimodular(n, rng) * random_unimodular(n, rng)
+        assert invert_unimodular(U) == invert_by_cofactors(U)
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0, 0]]):
+        with pytest.raises(InputError):
+            invert_unimodular(IntMatrix.from_rows(bad))
 
 
 def test_matrix_json_roundtrip():

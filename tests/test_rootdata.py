@@ -190,6 +190,18 @@ def test_longest_element():
     assert longest_element_is_minus_one(datum_by_name("D4.sc"))
 
 
+@pytest.mark.parametrize("name,semisimple,expected", [
+    ("GL2", "A1.sc", True),
+    ("GL3", "A2.sc", False),
+    ("GSp4", "C2.sc", True),
+    ("GSp6", "C3.sc", True),
+])
+def test_longest_element_on_reductive_data(name, semisimple, expected):
+    # w0 acts on the root span only, so a central torus must not change the verdict
+    assert longest_element_is_minus_one(datum_by_name(name)) is expected
+    assert longest_element_is_minus_one(datum_by_name(semisimple)) is expected
+
+
 def test_cqd_sp2n_gm():
     for n in (1, 2, 3):
         rd = sp_datum(n)
