@@ -40,7 +40,7 @@ CLI_DIGESTS = {
     "param-lift-c2-typeA": "88215431cf700601af4ee9d744abc3b3eb299e850222b6507a806b18dbb67db6",
 }
 
-# every built-in type of rank <= 4 in both isogenies, the exceptional types
+# the classical types of small rank in both isogenies, the exceptional types
 # and the reductive examples
 DATA = [f"{f}{n}.{iso}" for f, ns in (("A", range(1, 5)), ("B", range(2, 5)),
                                       ("C", range(2, 5)), ("D", range(4, 6)))
