@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 
@@ -169,8 +170,16 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
     Pivoting always selects the smallest-absolute-value nonzero entry,
     breaking ties by lowest (row, col), so the output is a pure function
-    of the input matrix.
+    of the input matrix.  That makes it safe to factor each matrix once:
+    the forms of the last 32 distinct matrices are kept and shared, as
+    ``IntMatrix`` and ``SmithForm`` are immutable.
     """
+    return _smith_form(A)
+
+
+@lru_cache(maxsize=32)
+def _smith_form(A: IntMatrix) -> SmithForm:
+    """Factor A once and check the form; a cache hit skips both."""
     rows, cols = A.rows, A.cols
     m = [list(r) for r in A.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]

@@ -417,6 +417,8 @@ def gsp_datum(g: int) -> BasedRootDatum:
 
 def gl_datum(n: int) -> BasedRootDatum:
     """GL_n: X = Z^n, roots e_i - e_{i+1}, coroots the same."""
+    if n < 1:
+        raise InputError(f"GL_n needs n >= 1, got {n}")
     roots = []
     for i in range(n - 1):
         v = [0] * n

@@ -188,6 +188,11 @@ def _dominant_doubled(rd, lam2) -> bool:
     return all(_dot(lam2, av) >= 0 for av in rd.simple_coroots)
 
 
+def _require_rank_length(rd, lam):
+    if len(lam) != rd.rank:
+        raise InputError(f"highest weight has length {len(lam)} but the datum has rank {rd.rank}")
+
+
 @lru_cache(maxsize=None)
 def _freudenthal_tables(rd: BasedRootDatum):
     """Per-datum tables of the Freudenthal recursion: (pos2, gram, simple, rho2, rhov2).
@@ -228,6 +233,7 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     gaps.  The simple reflections then expand each Weyl orbit.
     """
     lam2 = tuple(2 * Fraction(x) for x in lam)
+    _require_rank_length(rd, lam2)
     if any(d.denominator != 1 for d in lam2):
         raise InputError("highest weight must be at most half-integral")
     lam2 = tuple(int(d) for d in lam2)
@@ -297,6 +303,7 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
 def weyl_dimension(rd: BasedRootDatum, lam) -> int:
     """Dimension of the irreducible with highest weight lam (product formula)."""
     lamf = tuple(Fraction(x) for x in lam)
+    _require_rank_length(rd, lamf)
     lam2 = tuple(2 * x for x in lamf)
     if any(x.denominator != 1 for x in lam2):
         raise InputError("highest weight must be at most half-integral")

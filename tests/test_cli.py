@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import gcd
 
 import pytest
 
+import liftcalc
 from liftcalc import acceptance
 from liftcalc.cli import main
 from liftcalc.heisenberg import MAX_MODULUS
@@ -127,6 +131,10 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     ("branch", "--to", "soX"),
     ("branch", "--to", "so4*so"),
     ("branch", "--to", "so2*so2*so2"),
+    ("dim", "--group", "C3.sc", "--weight", "3,2,1,0,9"),
+    ("dim", "--group", "C3.sc", "--weight", "1,2"),
+    ("dim", "--group", "GL-2", "--weight", "5,7"),
+    ("dim", "--group", "GL0", "--weight", "5,7"),
 ])
 def test_argument_errors_exit_2(capsys, argv):
     code = main(list(argv))
@@ -382,3 +390,16 @@ def test_lift_check_custom_embedding(tmp_path, capsys):
                     "--mode", "totally-real", "--hodge", str(path))
     assert code == 0
     assert json.loads(out)["decision"] == "lift_exists"
+
+
+def test_python_m_liftcalc_matches_cli_module():
+    src = os.path.dirname(os.path.dirname(liftcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["dim", "--group", "C3.sc", "--weight", "2,1,0"]
+    package, module = (subprocess.run([sys.executable, "-m", m, *argv], capture_output=True,
+                                      text=True, env=env, timeout=60)
+                       for m in ("liftcalc", "liftcalc.cli"))
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout
+    assert json.loads(package.stdout)["dimension"] == 64

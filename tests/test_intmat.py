@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_golden_lattice import SOLVER_DIGEST, _digest, solver_lines
 
+from liftcalc import intmat
 from liftcalc.intmat import (
     FinAbGroup,
     InputError,
@@ -230,3 +233,60 @@ def test_matrix_json_roundtrip():
     A = IntMatrix.from_rows([[1, -2], [30, 4]])
     assert IntMatrix.from_json(A.to_json()) == A
     assert A.to_json() == [["1", "-2"], ["30", "4"]]
+
+
+def test_solver_digest_with_cold_and_warm_cache():
+    intmat._smith_form.cache_clear()
+    assert _digest(solver_lines()) == SOLVER_DIGEST
+    assert intmat._smith_form.cache_info().hits > 0
+    assert _digest(solver_lines()) == SOLVER_DIGEST
+
+
+def test_equal_matrices_share_one_factorization():
+    intmat._smith_form.cache_clear()
+    A = IntMatrix.from_rows([[3, 1, -4], [2, -7, 5]])
+    B = IntMatrix.from_rows([[3, 1, -4], [2, -7, 5]])
+    assert A is not B
+    assert smith_normal_form(B) is smith_normal_form(A)
+    info = intmat._smith_form.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_check_smith_runs_once_per_miss(monkeypatch):
+    checked = []
+    real = intmat._check_smith
+
+    def counting(A, form):
+        checked.append(A)
+        real(A, form)
+
+    monkeypatch.setattr(intmat, "_check_smith", counting)
+    intmat._smith_form.cache_clear()
+    rng = random.Random(8128)
+    mats = [IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(3)] for _ in range(2)])
+            for _ in range(10)]
+    for _ in range(3):
+        for A in mats:
+            smith_normal_form(A)
+    misses = intmat._smith_form.cache_info().misses
+    assert len(checked) == misses == len(set(mats))
+
+
+def test_smith_cache_is_bounded():
+    assert intmat._smith_form.cache_info().maxsize == 32
+
+
+def test_product_and_apply_match_naive_loops():
+    rng = random.Random(6724)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(60)]
+    for n, k, m in shapes:
+        A = IntMatrix(n, k, tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(n)))
+        B = IntMatrix(k, m, tuple(tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(k)))
+        P = A * B
+        assert (P.rows, P.cols) == (n, m)
+        assert P.entries == tuple(tuple(sum(A[i, t] * B[t, j] for t in range(k)) for j in range(m))
+                                  for i in range(n))
+        for x in ([rng.randint(-9, 9) for _ in range(k)],
+                  [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]):
+            assert A.apply(x) == tuple(sum(A[i, t] * x[t] for t in range(k)) for i in range(n))

@@ -355,3 +355,11 @@ def test_kuga_satake_g4_pullback():
     assert V.dimension == weyl_dimension(sp_datum(4), (3, 2, 1, 0)) == 4096
     pull = kuga_satake_spin_pullback(4)
     assert pull.doubled == V.scalar_multiple(2).doubled
+
+
+@pytest.mark.parametrize("lam", [(3, 2, 1, 0, 9), (1, 2)])
+def test_weight_length_must_match_rank(lam):
+    rd = datum_by_name("C3.sc")
+    for fn in (weyl_dimension, irrep_weight_multiset):
+        with pytest.raises(InputError, match=f"length {len(lam)} but the datum has rank 3"):
+            fn(rd, lam)
