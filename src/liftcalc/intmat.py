@@ -253,13 +253,16 @@ def _smith_form(A: IntMatrix) -> SmithForm:
     diag = [m[i][i] for i in range(n) if m[i][i] != 0]
     U = IntMatrix.from_rows(u)
     V = IntMatrix.from_rows(v)
-    D = IntMatrix.from_rows(m)
+    D = IntMatrix(rows, cols, tuple(map(tuple, m)))
     form = SmithForm(U, D, V, tuple(diag))
     _check_smith(A, form)
     return form
 
 
 def _check_smith(A, form):
+    shapes = ((form.U.rows, form.U.cols), (form.D.rows, form.D.cols), (form.V.rows, form.V.cols))
+    if shapes != ((A.rows, A.rows), (A.rows, A.cols), (A.cols, A.cols)):
+        raise AssertionError("SNF factors have the wrong shapes")
     if (form.U * A * form.V).entries != form.D.entries:
         raise AssertionError("SNF identity U*A*V = D violated")
     if not form.U.is_unimodular() or not form.V.is_unimodular():

@@ -291,8 +291,7 @@ def even_clifford_split(q: QForm) -> CliffordSplitness:
     """Is the even Clifford algebra of an odd-rank form a matrix algebra over Q?"""
     if q.rank % 2 == 0:
         raise InputError("even-rank forms have a quadratic center; odd rank required")
-    diag = diagonalize(q)  # raises on degenerate input
-    bad = witt_class_places(q)
+    bad = witt_class_places(q)  # invariants raises on degenerate input
     split = not bad
     n = (q.rank - 1) // 2
     return CliffordSplitness(split, 2 ** n if split else None, bad)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import sub
 
 from .intmat import BoundError, InputError, IntMatrix
 from .rootdata import (
@@ -25,7 +26,9 @@ from .rootdata import (
 
 # Largest rank spin_weight_multiset accepts: it enumerates 2^rank sign
 # vectors.  ``spin-weights --family B`` takes 2.2 s at rank 15 and 4.4-4.7 s
-# at rank 16 on a 2-vCPU Xeon with Python 3.11.
+# at rank 16 on a 2-vCPU Xeon with Python 3.11.  The restriction of a spin
+# multiset along a torus map enumerates no sign vectors; it raises instead
+# once it would hold more than 2^MAX_SPIN_RANK distinct partial weights.
 MAX_SPIN_RANK = 15
 
 
@@ -415,6 +418,59 @@ def restrict_multiset(f: LatticeMap, W: WeightMultiset) -> WeightMultiset:
     return out
 
 
+def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultiset:
+    """Image of the (half-)spin multiset of so_N under f, without sign vectors.
+
+    Equals ``restrict_multiset(f, _spin_of_so(N, half))``.  A sign vector s
+    has doubled image sum_k s_k c_k / 2 over the columns c_k of ``f.numer``,
+    that is (sum_k c_k) / 2 minus the c_k with s_k < 0.  So the image
+    multiset is a convolution: the columns are folded in one at a time, each
+    either kept out or subtracted, and equal partial images are merged.  For
+    a half-spin of D each state also carries the parity of its minus signs,
+    and the end keeps the wanted parity.  Distinct partial states never get
+    fewer, so more than 2^MAX_SPIN_RANK of them raises ``BoundError``.
+    """
+    n = N // 2
+    if N % 2 == 0 and half not in ("plus", "minus", "both"):
+        raise InputError("half must be plus, minus, or both")
+    if f.source_rank != n:
+        raise InputError("multiset rank does not match the map source")
+    if any(sum(r) % 2 for r in f.numer.entries):
+        raise InputError("denominator violation: image weight is not half-integral")
+    cols = f.numer.transpose().entries
+    limit = 2 ** MAX_SPIN_RANK
+    if n > MAX_SPIN_RANK:
+        # columns that each reach a row no earlier one touches are linearly
+        # independent, so their 2^k subset sums are distinct partial images
+        touched, k = set(), 0
+        for c in cols:
+            support = {i for i, x in enumerate(c) if x}
+            if not support <= touched:
+                touched |= support
+                k += 1
+        if k > MAX_SPIN_RANK:
+            raise BoundError(f"restricting the spin of so{N} needs at least 2^{k} "
+                             f"distinct weights, above the bound 2^{MAX_SPIN_RANK}")
+    # the spin of so_0 is the trivial weight, for every half
+    flip = 1 if N % 2 == 0 and half != "both" and n else 0
+    states = {(tuple(sum(r) // 2 for r in f.numer.entries), 0): 1}
+    for c in cols:
+        nxt = dict(states)   # a plus sign keeps image and parity
+        for (x, p), m in states.items():
+            key = (tuple(map(sub, x, c)), p ^ flip)
+            nxt[key] = nxt.get(key, 0) + m
+        if len(nxt) > limit:
+            raise BoundError(f"restricting the spin of so{N} passed 2^{MAX_SPIN_RANK} "
+                             f"distinct partial weights")
+        states = nxt
+    keep = 1 if flip and half == "minus" else 0
+    out = WeightMultiset(f.target_rank, tuple(sorted(
+        (x, m) for (x, p), m in states.items() if p == keep)))
+    if out.dimension != 2 ** (n - flip):
+        raise AssertionError("restriction changed the total dimension")
+    return out
+
+
 def so_block_embedding(blocks) -> LatticeMap:
     """Torus map for a product of odd/even orthogonal algebras inside so_N.
 
@@ -488,7 +544,7 @@ def verify_spin_branching(c: int, d: int, variant: str = "so",
     emb = so_block_embedding([c] * d)
     r_c = c // 2
     if N % 2:  # both c and d odd
-        lhs = restrict_multiset(emb, _spin_of_so(N))
+        lhs = _spin_restriction(emb, N)
         w_c = spin_weight_multiset(r_c, "B")
         rhs = w_c
         for _ in range(d - 1):
@@ -497,18 +553,17 @@ def verify_spin_branching(c: int, d: int, variant: str = "so",
         rhs = rhs.scalar_multiple(2 ** d0) if d0 else rhs
         desc = f"spin(so{N}) | so{c}^{d} = 2^{d0} (box of spins)"
     elif c % 2 == 0:
-        lhs = restrict_multiset(emb, _spin_of_so(N, "plus"))
-        rhs = None
-        for signs in product(("plus", "minus"), repeat=d):
-            if sum(1 for s in signs if s == "minus") % 2:
-                continue
-            term = spin_weight_multiset(r_c, "D", signs[0])
-            for s in signs[1:]:
-                term = term.box_tensor(spin_weight_multiset(r_c, "D", s))
-            rhs = term if rhs is None else rhs.add(term)
+        lhs = _spin_restriction(emb, N, "plus")
+        # sums over the block sign patterns with an even / odd number of minus
+        plus = even = spin_weight_multiset(r_c, "D", "plus")
+        minus = odd = spin_weight_multiset(r_c, "D", "minus")
+        for _ in range(d - 1):
+            even, odd = (even.box_tensor(plus).add(odd.box_tensor(minus)),
+                         even.box_tensor(minus).add(odd.box_tensor(plus)))
+        rhs = even
         desc = f"plus-half-spin(so{N}) | so{c}^{d} = even-sign half-spin blocks"
     else:  # c odd, d even
-        lhs = restrict_multiset(emb, _spin_of_so(N, "plus"))
+        lhs = _spin_restriction(emb, N, "plus")
         w_c = spin_weight_multiset(r_c, "B")
         rhs = w_c
         for _ in range(d - 1):
@@ -525,24 +580,21 @@ def _verify_gl_branching(c: int, d: int) -> BranchReport:
     d0 = d // 2
     n_big = c * d0
     emb = gl_block_embedding(c, d0)
-    lhs = restrict_multiset(emb, _spin_of_so(2 * n_big, "plus"))
-    rhs = None
+    lhs = _spin_restriction(emb, 2 * n_big, "plus")
     vend = WeightMultiset.from_doubled(
         c, [(tuple(-2 if i == j else 0 for i in range(c)), 1) for j in range(c)])
     shift = (1,) * c  # doubled coordinates of (1/2, ..., 1/2)
-    block_terms = []
+    # shifted exterior powers of one block, summed by the parity of the degree
+    block = ([], [])
     for i in range(c + 1):
         ext = vend.exterior_power(i)
-        shifted = WeightMultiset.from_doubled(
-            c, [(tuple(a + s for a, s in zip(w, shift)), m) for w, m in ext.doubled])
-        block_terms.append(shifted)
-    for choice in product(range(c + 1), repeat=d0):
-        if sum(choice) % 2:
-            continue
-        term = block_terms[choice[0]]
-        for i in choice[1:]:
-            term = term.box_tensor(block_terms[i])
-        rhs = term if rhs is None else rhs.add(term)
+        block[i % 2].extend((tuple(a + s for a, s in zip(w, shift)), m) for w, m in ext.doubled)
+    block_even, block_odd = (WeightMultiset.from_doubled(c, t) for t in block)
+    even, odd = block_even, block_odd
+    for _ in range(d0 - 1):
+        even, odd = (even.box_tensor(block_even).add(odd.box_tensor(block_odd)),
+                     even.box_tensor(block_odd).add(odd.box_tensor(block_even)))
+    rhs = even
     desc = f"plus-half-spin(so{2 * n_big}) | gl{c}^{d0} = even exterior powers"
     return BranchReport(lhs.doubled == rhs.doubled, lhs.dimension, rhs.dimension, desc)
 
@@ -559,7 +611,7 @@ def verify_spin_factorization(a: int, t: int, bound: int = 2 ** 20) -> BranchRep
     if 2 ** (N // 2 + 1) > bound:
         raise BoundError("spin dimension exceeds the bound")
     emb = so_block_embedding([a, t])
-    lhs = restrict_multiset(emb, _spin_of_so(N, "both"))
+    lhs = _spin_restriction(emb, N)
     rhs = _spin_of_so(a, "both").box_tensor(_spin_of_so(t, "both"))
     if a % 2 and t % 2:
         rhs = rhs.scalar_multiple(2)
@@ -608,11 +660,7 @@ def kuga_satake_embedding(g: int) -> LatticeMap:
 
 def kuga_satake_spin_pullback(g: int, half: str = "both") -> WeightMultiset:
     """Pull the spin multiset of SO_N back to the symplectic torus."""
-    N = comb(2 * g, 2) - 1
-    if N == 0:
-        return WeightMultiset.from_doubled(g, [((0,) * g, 1)])
-    f = kuga_satake_embedding(g)
-    return restrict_multiset(f, _spin_of_so(N, half))
+    return _spin_restriction(kuga_satake_embedding(g), comb(2 * g, 2) - 1, half)
 
 
 def center_action_parity(g: int) -> str:

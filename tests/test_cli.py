@@ -106,6 +106,8 @@ def test_plethysm_bound_exit(capsys):
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
     (("classify-simple-types", "--max-rank", "1000000"), None),
     (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
+    (("branch", "--to", "so4^10"), None),
+    (("branch", "--bound", "1000000000000000000", "--to", "so3^30"), None),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -160,6 +162,17 @@ def _fuzz_argv(rng, kind):
         rank = rng.choice((rng.randint(-5, 0), rng.randint(1, 6),
                            rng.randint(MAX_CLASSIFY_RANK + 1, 10 ** 6)))
         return [kind, "--max-rank", str(rank)]
+    if kind == "spin-weights":
+        # ranks stay where the enumeration is fast, or above the bound
+        n = rng.choice((rng.randint(-3, 12), rng.randint(MAX_SPIN_RANK + 1, 10 ** 6)))
+        return [kind, "--n", str(n), "--family", rng.choice("BD"),
+                "--half", rng.choice(("plus", "minus", "both"))]
+    if kind == "branch":
+        # spin ranks on both sides of MAX_SPIN_RANK, sometimes past the default --bound
+        c, d = rng.randint(2, 6), rng.randint(1, 12)
+        to = rng.choice((f"so{c}^{d}", f"gl{c}^{d}", f"so{c}*so{rng.randint(2, 40)}"))
+        huge = ["--bound", str(10 ** 18)] if rng.random() < 0.5 else []
+        return [kind, *huge, "--to", to]
     # moduli stay where the scans are fast, or above the bound; most
     # multipliers are units, so that some pairs get a full report
     n = rng.choice((rng.randint(-3, 12), rng.randint(MAX_MODULUS + 1, 10 ** 6)))
@@ -171,11 +184,16 @@ def _fuzz_argv(rng, kind):
     return [kind, "--n", str(n), "--alpha", str(pair[0]), "--beta", str(pair[1])]
 
 
+_FUZZ_KINDS = (("verify-paper", "classify-simple-types", "heisenberg-demo"),
+               ("branch", "spin-weights"))
+
+
 def test_cli_fuzz(capsys):
     rng = random.Random(20121)
     codes = set()
-    for case in range(30):
-        argv = _fuzz_argv(rng, ("verify-paper", "classify-simple-types", "heisenberg-demo")[case % 3])
+    for case in range(90):
+        kinds = _FUZZ_KINDS[0] if case < 30 else _FUZZ_KINDS[1]
+        argv = _fuzz_argv(rng, kinds[case % len(kinds)])
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start

@@ -10,6 +10,7 @@ from liftcalc.intmat import (
     FinAbGroup,
     InputError,
     IntMatrix,
+    SmithForm,
     cokernel_invariants,
     ext1_to_Z,
     invert_unimodular,
@@ -290,3 +291,19 @@ def test_product_and_apply_match_naive_loops():
         for x in ([rng.randint(-9, 9) for _ in range(k)],
                   [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]):
             assert A.apply(x) == tuple(sum(A[i, t] * x[t] for t in range(k)) for i in range(n))
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (2, 5), (5, 2)])
+def test_smith_factors_have_true_shapes(rows, cols):
+    form = smith_normal_form(IntMatrix.zero(rows, cols))
+    assert (form.U.rows, form.U.cols) == (rows, rows)
+    assert (form.D.rows, form.D.cols) == (rows, cols)
+    assert (form.V.rows, form.V.cols) == (cols, cols)
+
+
+def test_check_smith_rejects_wrong_shapes():
+    A = IntMatrix(0, 3, ())
+    good = smith_normal_form(A)
+    flat = SmithForm(good.U, IntMatrix.from_rows([]), good.V, ())
+    with pytest.raises(AssertionError, match="shapes"):
+        intmat._check_smith(A, flat)

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from liftcalc import qforms
 from liftcalc.intmat import BoundError, InputError
 from liftcalc.qforms import (
     QForm,
@@ -302,3 +303,14 @@ def test_oracle_agreement_random_odd_ranks(seed):
 def test_even_rank_rejected():
     with pytest.raises(InputError):
         even_clifford_split(hyperbolic_plane())
+
+
+def test_even_clifford_split_diagonalizes_once(monkeypatch):
+    calls = []
+    real = qforms.diagonalize
+    monkeypatch.setattr(qforms, "diagonalize", lambda q: calls.append(q) or real(q))
+    assert even_clifford_split(k3_primitive(2)).split
+    assert len(calls) == 1
+    degenerate = QForm.from_gram([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    with pytest.raises(InputError, match="degenerate form"):
+        even_clifford_split(degenerate)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from liftcalc.intmat import BoundError, InputError
+from liftcalc.intmat import BoundError, InputError, IntMatrix
 from liftcalc.rootdata import (
     datum_by_name,
     simple_reflections,
@@ -14,11 +14,16 @@ from liftcalc.rootdata import (
     weyl_group,
 )
 from liftcalc.weights import (
+    MAX_SPIN_RANK,
     LatticeMap,
     WeightMultiset,
+    _spin_of_so,
+    _spin_restriction,
     center_action_parity,
     center_action_parity_by_enumeration,
+    gl_block_embedding,
     irrep_weight_multiset,
+    kuga_satake_embedding,
     kuga_satake_spin_pullback,
     restrict_multiset,
     so_block_embedding,
@@ -363,3 +368,96 @@ def test_weight_length_must_match_rank(lam):
     for fn in (weyl_dimension, irrep_weight_multiset):
         with pytest.raises(InputError, match=f"length {len(lam)} but the datum has rank 3"):
             fn(rd, lam)
+
+
+# The restriction of a spin multiset is a convolution; the enumeration of
+# all 2^n sign vectors through restrict_multiset is its oracle.
+
+def _by_enumeration(f, N, half):
+    return restrict_multiset(f, _spin_of_so(N, half))
+
+
+# (c, d) of so_c^d, (c, d0) of gl_c^d0 and (a, t) of so_a x so_t: every shape
+# the benchmark and the README examples branch along
+BRANCH_SHAPES = (
+    [(so_block_embedding([c] * d), c * d)
+     for c, d in ((3, 3), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4), (5, 2))]
+    + [(gl_block_embedding(c, d0), 2 * c * d0) for c, d0 in ((2, 1), (3, 1), (2, 2), (4, 1))]
+    + [(so_block_embedding([a, t]), a + t)
+       for a, t in ((2, 3), (3, 3), (2, 2), (4, 5), (5, 6), (3, 8))])
+
+
+@pytest.mark.parametrize("half", ["plus", "minus", "both"])
+@pytest.mark.parametrize("f,N", BRANCH_SHAPES)
+def test_spin_restriction_matches_enumeration_on_branching_shapes(f, N, half):
+    assert _spin_restriction(f, N, half) == _by_enumeration(f, N, half)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_spin_restriction_matches_enumeration_on_random_maps(seed):
+    rng = random.Random(300 + seed)
+    N = rng.randint(1, 16)
+    n, target = N // 2, rng.randint(1, 4)
+    rows = [[Fraction(rng.randint(-4, 4), 2) for _ in range(n)] for _ in range(target)]
+    for r in rows:
+        if n and sum(r) % 1:   # make every image half-integral
+            r[0] += Fraction(1, 2)
+    f = LatticeMap.from_rows(rows, source_rank=n)
+    for half in ("plus", "minus", "both"):
+        assert _spin_restriction(f, N, half) == _by_enumeration(f, N, half)
+
+
+def test_spin_restriction_rejects_non_half_integral_images():
+    f = LatticeMap.from_rows([[Fraction(1, 2), 1, 0], [0, 1, 1]])
+    for half in ("plus", "both"):
+        for restrict in (_spin_restriction, _by_enumeration):
+            with pytest.raises(InputError, match="not half-integral"):
+                restrict(f, 6, half)
+
+
+def test_spin_restriction_to_rank_zero():
+    f = LatticeMap(5, 0, IntMatrix.zero(0, 5))
+    for N, half in ((11, "both"), (10, "plus"), (10, "minus"), (10, "both")):
+        ms = _spin_restriction(f, N, half)
+        assert ms == _by_enumeration(f, N, half)
+        assert ms.rank == 0 and ms.doubled == (((), ms.dimension),)
+
+
+def test_spin_restriction_source_rank_must_match():
+    with pytest.raises(InputError, match="rank does not match"):
+        _spin_restriction(LatticeMap.identity(3), 8)
+
+
+@pytest.mark.parametrize("g,halves", [(1, ["both"]), (2, ["both"]),
+                                      (3, ["plus", "minus", "both"]), (4, ["both"])])
+def test_kuga_satake_pullback_matches_enumeration(g, halves):
+    f, N = kuga_satake_embedding(g), comb(2 * g, 2) - 1
+    for half in halves:
+        assert kuga_satake_spin_pullback(g, half) == _by_enumeration(f, N, half)
+
+
+def test_kuga_satake_g5_pullback():
+    # spin of so44 pulled back to Sp10: 2^22 weights, 13 213 distinct,
+    # four copies of the 2^20-dimensional irreducible
+    V = irrep_weight_multiset(sp_datum(5), (4, 3, 2, 1, 0))
+    pull = kuga_satake_spin_pullback(5)
+    assert len(pull.doubled) == 13213
+    assert pull.doubled == V.scalar_multiple(4).doubled
+
+
+def test_spin_restriction_bound_before_any_work():
+    # 2^16 independent images: known from the columns alone
+    f = so_block_embedding([2] * (MAX_SPIN_RANK + 1))
+    with pytest.raises(BoundError, match="at least 2\\^16"):
+        _spin_restriction(f, 2 * (MAX_SPIN_RANK + 1), "plus")
+
+
+def test_spin_restriction_bound_on_partial_images():
+    # one row, so only one column is seen to be independent, but the subset
+    # sums of distinct powers of two are all distinct
+    n = MAX_SPIN_RANK + 1
+    f = LatticeMap(n, 1, IntMatrix(1, n, (tuple(2 ** (k + 1) for k in range(n)),)))
+    with pytest.raises(BoundError, match="partial weights"):
+        _spin_restriction(f, 2 * n + 1)
+    small = LatticeMap(n - 1, 1, IntMatrix(1, n - 1, (f.numer.row(0)[:-1],)))
+    assert len(_spin_restriction(small, 2 * n - 1).doubled) == 2 ** (n - 1)
