@@ -231,7 +231,7 @@ def cmd_branch(args, fmt, seed):
 
 
 def cmd_plethysm(args, fmt, seed):
-    rep = verify_plethysm(args.g, bound=args.bound)
+    rep = verify_plethysm(args.g)
     out = rep.to_json()
     out["check"] = "exterior-algebra-plethysm"
     out["seed"] = seed
@@ -315,11 +315,18 @@ def cmd_verify(args, fmt, seed):
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report an argument error as InputError, so that it gets one stderr line and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="liftcalc",
         description="Exact computations with root data, lifting obstructions, "
                     "spin branching, quadratic forms, and Heisenberg representations.")
@@ -372,7 +379,6 @@ def build_parser():
 
     s = sub.add_parser("plethysm-check", parents=[common], help="exterior algebra identity")
     s.add_argument("--g", type=int, required=True)
-    s.add_argument("--bound", type=int, default=3)
     s.set_defaults(func=cmd_plethysm)
 
     s = sub.add_parser("dim", parents=[common], help="Weyl dimension of a highest weight")
@@ -408,17 +414,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, args.format, args.seed)
     except BoundError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -168,16 +168,8 @@ def geometric_lift_exists(cqd: CentralQuotientData, h: HodgeFamily, mode: str) -
             cert = (a, b)
             break
     if cert is None:
-        # constant classes are always feasible, so infeasibility implies a
-        # differing pair somewhere in the sorted order
-        for a in labels:
-            for b in labels:
-                if classes[a] != classes[b]:
-                    cert = (a, b)
-                    break
-            if cert:
-                break
-    if cert is None:
+        # constant classes are always feasible: if no adjacent sorted pair
+        # differs, all classes are equal
         raise AssertionError("infeasible imaginary instance with constant classes")
     return ObstructionReport(
         "obstructed", mode, d, classes, None, cert, tuple(purity), False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .intmat import BoundError, InputError
 
@@ -492,9 +492,8 @@ def _legendre_isotropic(a: int, b: int, c: int) -> bool:
                 break
     if a > 0 and b > 0 and c > 0 or (a < 0 and b < 0 and c < 0):
         return False
-    bx = _isqrt(abs(b * c))
-    by = _isqrt(abs(a * c))
-    bz = _isqrt(abs(a * b))
+    bx = isqrt(abs(b * c))
+    by = isqrt(abs(a * c))
     for xx in range(bx + 1):
         for yy in range(by + 1):
             rhs = a * xx * xx + b * yy * yy
@@ -504,12 +503,7 @@ def _legendre_isotropic(a: int, b: int, c: int) -> bool:
             t = -rhs // c
             if t < 0:
                 continue
-            z = _isqrt(t)
+            z = isqrt(t)
             if z * z == t and (xx or yy or z):
                 return True
     return False
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-    return isqrt(n)

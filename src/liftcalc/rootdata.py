@@ -21,6 +21,7 @@ from .intmat import (
     cokernel_invariants,
     congruence_kernel_basis,
     congruence_system,
+    ext1_to_Z,
     invert_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -141,26 +142,39 @@ def simple_reflections(rd: BasedRootDatum) -> list:
 
 def positive_roots(rd: BasedRootDatum) -> tuple:
     """Positive roots enumerated by reflection closure of the simple roots."""
-    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)
+    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)[0]
+
+
+def positive_coroots(rd: BasedRootDatum) -> tuple:
+    """The coroot of each root of ``positive_roots(rd)``, in the same order."""
+    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)[1]
 
 
 @cache
 def _positive_roots(rank, simple_roots, simple_coroots):
+    """(positive roots, their coroots), from one reflection closure of the simple pairs.
+
+    s_i sends a root b to b - <b, a_i^vee> a_i and its coroot bv to
+    bv - <a_i, bv> a_i^vee, so each root found keeps the coroot it came with.
+    """
     rd = BasedRootDatum(rank, simple_roots, simple_coroots)
     _require_valid(rd)
-    refl = simple_reflections(rd)
-    roots = set(rd.simple_roots)
-    frontier = list(rd.simple_roots)
+    simple = tuple(zip(simple_roots, simple_coroots))
+    coroot_of = dict(simple)
+    frontier = list(simple)
     while frontier:
         nxt = []
-        for beta in frontier:
-            for s in refl:
-                img = s.apply(beta)
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
+        for b, bv in frontier:
+            for a, av in simple:
+                p = rd.pairing(b, av)
+                img = tuple(x - p * y for x, y in zip(b, a))
+                if img not in coroot_of:
+                    q = rd.pairing(a, bv)
+                    coroot_of[img] = tuple(x - q * y for x, y in zip(bv, av))
+                    nxt.append((img, coroot_of[img]))
         frontier = nxt
-    return tuple(sorted(b for b in roots if _is_positive(rd, b)))
+    pos = sorted(b for b in coroot_of if _is_positive(rd, b))
+    return tuple(pos), tuple(coroot_of[b] for b in pos)
 
 
 def _is_positive(rd, beta):
@@ -429,13 +443,8 @@ def gl_datum(n: int) -> BasedRootDatum:
     return rd
 
 
-_BUILTIN_EXTRAS = {"GL2": lambda: gl_datum(2), "GL3": lambda: gl_datum(3)}
-
-
 def datum_by_name(name: str) -> BasedRootDatum:
     """Resolve names like "C2.sc", "E7.adjoint", "GSp4", "GL3", "SO5"."""
-    if name in _BUILTIN_EXTRAS:
-        return _BUILTIN_EXTRAS[name]()
     try:
         if name.startswith("GSp"):
             m = int(name[3:])
@@ -730,15 +739,10 @@ def _verify_defect_sequence(cqd: CentralQuotientData):
     if erank != n + m - f0:
         raise AssertionError("defect sequence: middle map has wrong rank")
     coker = cokernel_invariants(eps)
-    expected = ext1_group(cqd)
+    expected = ext1_to_Z(cqd.center.group)
     if coker != expected:
         raise AssertionError(
             f"defect sequence: coker {coker} differs from Ext^1 {expected}")
-
-
-def ext1_group(cqd: CentralQuotientData) -> FinAbGroup:
-    from .intmat import ext1_to_Z
-    return ext1_to_Z(cqd.center.group)
 
 
 def minimal_torus_embed(rd: BasedRootDatum) -> IntMatrix:

@@ -108,6 +108,7 @@ def test_plethysm_bound_exit(capsys):
     (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
     (("branch", "--to", "so4^10"), None),
     (("branch", "--bound", "1000000000000000000", "--to", "so3^30"), None),
+    (("plethysm-check", "--g", "5"), None),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -137,6 +138,9 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     ("dim", "--group", "C3.sc", "--weight", "1,2"),
     ("dim", "--group", "GL-2", "--weight", "5,7"),
     ("dim", "--group", "GL0", "--weight", "5,7"),
+    ("spin-weights", "--n", "3", "--family", "X"),
+    ("no-such-subcommand",),
+    ("branch",),
 ])
 def test_argument_errors_exit_2(capsys, argv):
     code = main(list(argv))
@@ -184,16 +188,37 @@ def _fuzz_argv(rng, kind):
     return [kind, "--n", str(n), "--alpha", str(pair[0]), "--beta", str(pair[1])]
 
 
+def _invalid_choice_argv(rng):
+    """An argument argparse refuses: a bad choice, a bad number, a missing or unknown name."""
+    junk = rng.choice(("X", "", "b", "plus", "-1", "3.5", "so3"))
+    return rng.choice((
+        ["spin-weights", "--n", str(rng.randint(0, 6)), "--family", junk],
+        ["spin-weights", "--n", str(rng.randint(0, 6)), "--family", rng.choice("BD"),
+         "--half", junk],
+        ["dim", "--group", "C2.sc", "--weight", "1,0", "--format", junk],
+        ["lift-check", "--group", "C2.sc", "--mode", junk, "--hodge", "hodge.json"],
+        ["plethysm-check", "--g", junk],
+        ["heisenberg-demo", "--n", junk, "--alpha", "1", "--beta", "2"],
+        ["branch"],
+        [junk],
+    ))
+
+
 _FUZZ_KINDS = (("verify-paper", "classify-simple-types", "heisenberg-demo"),
                ("branch", "spin-weights"))
 
 
 def test_cli_fuzz(capsys):
     rng = random.Random(20121)
-    codes = set()
+    cases = []
     for case in range(90):
         kinds = _FUZZ_KINDS[0] if case < 30 else _FUZZ_KINDS[1]
-        argv = _fuzz_argv(rng, kinds[case % len(kinds)])
+        cases.append(_fuzz_argv(rng, kinds[case % len(kinds)]))
+    # invalid choices come after, from their own seed, so the cases above keep their inputs
+    rng = random.Random(20122)
+    cases += [_invalid_choice_argv(rng) for _ in range(30)]
+    codes = []
+    for argv in cases:
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
@@ -203,8 +228,19 @@ def test_cli_fuzz(capsys):
         # a report goes to stdout; a refused input gets one stderr line
         assert len(err.strip().splitlines()) == (1 if code in (2, 3) else 0), argv
         assert elapsed < 3.0, argv
-        codes.add(code)
-    assert {0, 2, 3} <= codes
+        codes.append(code)
+    assert {0, 2, 3} <= set(codes[:90])
+    assert codes[90:].count(2) >= 25
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["spin-weights", "--help"], ["plethysm-check", "-h"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: liftcalc")
+    assert "--bound" not in out
 
 
 def test_branch_cli(capsys):

@@ -17,7 +17,9 @@ from liftcalc.rootdata import (
     in_root_lattice,
     longest_element_is_minus_one,
     minimal_torus_embed,
+    positive_coroots,
     positive_roots,
+    simple_reflections,
     simple_type,
     sp_datum,
     validate,
@@ -270,3 +272,50 @@ def test_gm_embed_rejects_noncyclic():
 def test_datum_json_roundtrip():
     rd = gsp_datum(2)
     assert BasedRootDatum.from_json(rd.to_json()).simple_roots == rd.simple_roots
+
+
+def coroot_table_by_dual_walk(rd):
+    """Coroot of every root: a second reflection closure, with the dual datum's reflections."""
+    table = {}
+    refl = simple_reflections(rd)
+    corefl = simple_reflections(BasedRootDatum(rd.rank, rd.simple_coroots, rd.simple_roots))
+    frontier = []
+    for a, av in zip(rd.simple_roots, rd.simple_coroots):
+        table[a] = av
+        table[tuple(-x for x in a)] = tuple(-x for x in av)
+        frontier.append(a)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            bv = table[b]
+            for s, sv in zip(refl, corefl):
+                img = s.apply(b)
+                if img not in table:
+                    table[img] = sv.apply(bv)
+                    table[tuple(-x for x in img)] = tuple(-x for x in table[img])
+                    nxt.append(img)
+        frontier = nxt
+    return table
+
+
+BUILTIN_NAMES = (
+    [f"{family}{rank}.{iso}" for family, ranks in (("A", range(1, 7)), ("B", range(1, 7)),
+                                                  ("C", range(1, 7)), ("D", range(3, 7)))
+     for rank in ranks for iso in ("sc", "adjoint")]
+    + [f"{typ}.{iso}" for typ in ("E6", "E7", "E8", "F4", "G2") for iso in ("sc", "adjoint")]
+    + ["GL3", "GSp4", "GSp6", "SO7"])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_positive_coroots_match_dual_walk(name):
+    rd = datum_by_name(name)
+    roots, coroots = positive_roots(rd), positive_coroots(rd)
+    table = coroot_table_by_dual_walk(rd)
+    assert len(table) == 2 * len(roots) == 2 * len(coroots)
+    assert coroots == tuple(table[b] for b in roots)
+    assert all(rd.pairing(b, bv) == 2 for b, bv in zip(roots, coroots))
+
+
+def test_positive_coroots_of_a_torus():
+    rd = gl_datum(1)
+    assert positive_roots(rd) == positive_coroots(rd) == ()

@@ -1,19 +1,24 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import pytest
+from test_rootdata import coroot_table_by_dual_walk
 
 from liftcalc.intmat import BoundError, InputError, IntMatrix
 from liftcalc.rootdata import (
     datum_by_name,
+    half_sum_positive_roots,
+    positive_roots,
     simple_reflections,
     so_odd_datum,
     sp_datum,
     weyl_group,
 )
 from liftcalc.weights import (
+    MAX_PLETHYSM_G,
     MAX_SPIN_RANK,
     LatticeMap,
     WeightMultiset,
@@ -245,6 +250,21 @@ def test_spin_branching(cd):
     assert rep.ok, rep
 
 
+@pytest.mark.parametrize("c,d,dim,description", [
+    (3, 3, 16, "spin(so9) | so3^3 = 2^1 (box of spins)"),
+    (3, 5, 128, "spin(so15) | so3^5 = 2^2 (box of spins)"),
+    (3, 1, 2, "spin(so3) | so3^1 = 2^0 (box of spins)"),
+    (3, 2, 4, "plus-half-spin(so6) | so3^2 = 2^0 (box of spins)"),
+    (5, 4, 512, "plus-half-spin(so20) | so5^4 = 2^1 (box of spins)"),
+    (2, 3, 4, "plus-half-spin(so6) | so2^3 = even-sign half-spin blocks"),
+    (4, 2, 8, "plus-half-spin(so8) | so4^2 = even-sign half-spin blocks"),
+])
+def test_spin_branching_descriptions(c, d, dim, description):
+    rep = verify_spin_branching(c, d)
+    assert rep.ok and rep.lhs_dim == rep.rhs_dim == dim
+    assert rep.description == description
+
+
 def test_spin_branching_single_block_trivial():
     rep = verify_spin_branching(2, 1)
     assert rep.ok and rep.lhs_dim == rep.rhs_dim == 1
@@ -259,6 +279,48 @@ def test_spin_branching_gl_variant():
     for c, d in [(2, 2), (3, 2), (2, 4)]:
         rep = verify_spin_branching(c, d, variant="gl")
         assert rep.ok, rep
+
+
+@pytest.mark.parametrize("c", range(2, 16))
+def test_spin_branching_gl_one_pair_of_blocks(c):
+    rep = verify_spin_branching(c, 2, variant="gl")
+    assert rep.ok and rep.lhs_dim == rep.rhs_dim == 2 ** (c - 1)
+    assert rep.description == f"plus-half-spin(so{2 * c}) | gl{c}^1 = even exterior powers"
+
+
+def test_gl_branching_folds_the_exterior_algebra_once(monkeypatch):
+    # every exterior degree of the block comes from one fold, not one per degree
+    calls = []
+    fold, power = WeightMultiset._exterior_layers, WeightMultiset.exterior_power
+    monkeypatch.setattr(WeightMultiset, "_exterior_layers",
+                        lambda self, k: calls.append(("fold", k)) or fold(self, k))
+    monkeypatch.setattr(WeightMultiset, "exterior_power",
+                        lambda self, k: calls.append(("power", k)) or power(self, k))
+    for c, d in ((2, 2), (5, 2), (9, 2), (3, 4)):
+        calls.clear()
+        assert verify_spin_branching(c, d, variant="gl").ok
+        assert calls == [("fold", c)]
+
+
+def exterior_power_by_subsets(ms, k):
+    """k-th exterior power by listing every k-subset of the weight slots."""
+    slots = [w for w, m in ms.doubled for _ in range(m)]
+    acc = {}
+    for sub in combinations(slots, k):
+        w = tuple(map(sum, zip(*sub))) if sub else (0,) * ms.rank
+        acc[w] = acc.get(w, 0) + 1
+    return tuple(sorted(acc.items()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exterior_power_matches_subsets(seed):
+    rng = random.Random(700 + seed)
+    rank = rng.randint(1, 3)
+    ms = WeightMultiset.from_doubled(rank, [
+        (tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4))])
+    for k in range(ms.dimension + 2):
+        assert ms.exterior_power(k).doubled == exterior_power_by_subsets(ms, k)
 
 
 def test_spin_branching_bound():
@@ -329,7 +391,7 @@ def test_center_action_parity_full_enumeration(g):
     assert (sign == -1) == (center_action_parity(g) == "central_element_c")
 
 
-@pytest.mark.parametrize("g,dim", [(1, 2), (2, 64), (3, 32768)])
+@pytest.mark.parametrize("g,dim", [(1, 2), (2, 64), (3, 32768), (4, 2 ** 28)])
 def test_plethysm(g, dim):
     rep = verify_plethysm(g)
     assert rep.ok
@@ -337,8 +399,9 @@ def test_plethysm(g, dim):
 
 
 def test_plethysm_bound():
-    with pytest.raises(BoundError):
-        verify_plethysm(4)
+    assert MAX_PLETHYSM_G == 4
+    with pytest.raises(BoundError, match="g=5 > 4"):
+        verify_plethysm(5)
 
 
 def test_restrict_preserves_dimension():
@@ -368,6 +431,71 @@ def test_weight_length_must_match_rank(lam):
     for fn in (weyl_dimension, irrep_weight_multiset):
         with pytest.raises(InputError, match=f"length {len(lam)} but the datum has rank 3"):
             fn(rd, lam)
+
+
+def weyl_dimension_by_fractions(rd, lam):
+    """The Weyl product formula over Fractions, with rho-hat and the coroot walk."""
+    lamf = tuple(Fraction(x) for x in lam)
+    if len(lamf) != rd.rank:
+        raise InputError(f"highest weight has length {len(lamf)} but the datum has rank {rd.rank}")
+    lam2 = tuple(2 * x for x in lamf)
+    if any(x.denominator != 1 for x in lam2):
+        raise InputError("highest weight must be at most half-integral")
+    if any(sum(int(x) * c for x, c in zip(lam2, av)) < 0 for av in rd.simple_coroots):
+        raise InputError("highest weight must be dominant")
+    rho = half_sum_positive_roots(rd)
+    coroot_of = coroot_table_by_dual_walk(rd)
+    dim = Fraction(1)
+    for b in positive_roots(rd):
+        bv = coroot_of[b]
+        num = sum((l + r) * c for l, r, c in zip(lamf, rho, bv))
+        den = sum(r * c for r, c in zip(rho, bv))
+        dim *= Fraction(num, den)
+    if dim.denominator != 1:
+        raise AssertionError("Weyl dimension did not come out integral")
+    return int(dim)
+
+
+@pytest.mark.parametrize("name", [
+    "A1.sc", "A3.adjoint", "B2.adjoint", "B3.adjoint", "C2.sc", "C3.sc", "D4.sc",
+    "G2.sc", "F4.sc", "E6.sc", "GL3", "GSp4", "SO7",
+])
+def test_weyl_dimension_matches_fractions(name):
+    # doubled weights in a box: integral, half-integral (the spin weights of
+    # B_n in e coordinates among them) and, up to rank 3, non-dominant ones
+    rd = datum_by_name(name)
+    rng = random.Random(name)
+    box = list(product(range(-1 if rd.rank <= 3 else 0, 5), repeat=rd.rank))
+    for lam2 in (box if len(box) <= 300 else rng.sample(box, 300)):
+        lam = tuple(Fraction(x, 2) for x in lam2)
+        try:
+            want = weyl_dimension_by_fractions(rd, lam)
+        except (InputError, AssertionError) as exc:
+            with pytest.raises(type(exc)) as info:
+                weyl_dimension(rd, lam)
+            assert str(info.value) == str(exc), (name, lam)
+        else:
+            assert weyl_dimension(rd, lam) == want, (name, lam)
+
+
+def test_weyl_dimension_of_spin_weights():
+    for n in range(1, 7):
+        half = (Fraction(1, 2),) * n
+        assert weyl_dimension(datum_by_name(f"B{n}.adjoint"), half) == 2 ** n
+        assert weyl_dimension_by_fractions(datum_by_name(f"B{n}.adjoint"), half) == 2 ** n
+
+
+@pytest.mark.parametrize("lam,message", [
+    ((3, 2, 1, 0, 9), "highest weight has length 5 but the datum has rank 3"),
+    ((Fraction(1, 3), 0, 0), "highest weight must be at most half-integral"),
+    ((0, 1, 0), "highest weight must be dominant"),
+])
+def test_highest_weight_errors_are_unchanged(lam, message):
+    rd = datum_by_name("C3.sc")
+    for fn in (weyl_dimension, weyl_dimension_by_fractions, irrep_weight_multiset):
+        with pytest.raises(InputError) as info:
+            fn(rd, lam)
+        assert str(info.value) == message
 
 
 # The restriction of a spin multiset is a convolution; the enumeration of
