@@ -14,12 +14,14 @@ from math import gcd, lcm
 
 from .intmat import BoundError, InputError
 
-# Largest modulus the element-wise and character scans accept.  The
-# element-wise check compares n shifts of an eigenvalue multiset on each of
-# the n^2 central fibres, about n^4 integer steps; the character test makes
-# about n^3 products in Z[zeta_n].  ``heisenberg-demo`` takes 2-3 s at
-# n = 47 and 48 on a 2-vCPU Xeon with Python 3.11, and 4-5 s at n = 53.
-MAX_MODULUS = 48
+# Largest modulus the two deciders accept.  The element-wise check solves
+# one linear congruence on each of the n^2 central fibres, and its witness
+# dict holds all n^3 elements; the twist test makes at most n^2 products
+# in Z[zeta_n].  So memory, not time, sets the bound: as a fresh process
+# on a 2-vCPU Xeon with Python 3.11, ``heisenberg-demo`` takes 0.6-0.9 s and
+# peaks at 124 MiB at n = 103, but 132 MiB at n = 107 and 222 MiB at
+# n = 113 (1.2 s).
+MAX_MODULUS = 103
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +365,40 @@ def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     Returns (verdict, witnesses): for each group element the least scalar
     power k with matching eigenvalue multisets, when one exists.
 
-    Decided per central fibre: rho_i(a, b, c) is rho_i(a, b, 0) scaled by
-    zeta^(alpha_i c), and scaling by zeta^t shifts every eigenvalue exponent
-    by t * modulus / n.  So k works at (a, b, c) exactly when
-    k - (alpha_1 - alpha_2) c lies in K0, the shifts that match at c = 0.
-    K0 is a coset of a subgroup of Z/n, of step n / |K0|, so the least
-    such k is (min K0 + (alpha_1 - alpha_2) c) mod (n / |K0|).
+    Decided per central fibre in closed form.  rho_i(a, b, 0) shifts the
+    basis by a, so it has g = gcd(a, n) cycles, the classes j0 mod g, each
+    of length L = n / g and exponent sum s_i(j0) = alpha_i b (L j0 + C) mod n
+    with C = g L (L - 1) / 2.  A cycle's eigenvalues are the whole class of
+    s_i(j0) in Z/nL, and scaling by zeta^t moves s_i by t L, so the
+    multisets match exactly when the residues s_1 and s_2 + t L do.  Each
+    residue multiset is uniform on a coset of the subgroup h Z/n,
+    h = gcd(alpha_i b L, n); so the shifts K0 that match at c = 0 are the t
+    with t L = (alpha_1 - alpha_2) b C mod h, when both sides give the same
+    h.  That is a coset of step h / gcd(L, h).  rho_i(a, b, c) is
+    rho_i(a, b, 0) scaled by zeta^(alpha_i c), so the least witness at c is
+    (min K0 + (alpha_1 - alpha_2) c) mod step.  ``Monomial.eigenvalue_multiset``
+    builds the same multisets by walking the cycles.
     """
     _require_comparable(r1, r2)
     n = r1.n
     drift = r1.alpha - r2.alpha
     witnesses = {}
     for a in range(n):
+        g = gcd(a, n)
+        L = n // g
+        C = g * L * (L - 1) // 2
         for b in range(n):
-            modulus, e1 = r1.rho((a, b, 0)).eigenvalue_multiset()
-            _, e2 = r2.rho((a, b, 0)).eigenvalue_multiset()
-            target, unit = dict(e1), modulus // n
-            shifts = [t for t in range(n)
-                      if {(e + t * unit) % modulus: m for e, m in e2} == target]
-            if not shifts:
+            h = gcd(r1.alpha * b * L, n)
+            if gcd(r2.alpha * b * L, n) != h:
                 return False, witnesses
-            step = n // len(shifts)
+            d = gcd(L, h)
+            D = drift * b * C
+            if D % d:
+                return False, witnesses
+            step = h // d
+            first = D // d * pow(L // d, -1, step) % step
             for c in range(n):
-                witnesses[(a, b, c)] = (shifts[0] + drift * c) % step
+                witnesses[(a, b, c)] = (first + drift * c) % step
     return True, witnesses
 
 
@@ -394,76 +407,33 @@ def globally_twist_equivalent(r1: MonomialRep, r2: MonomialRep) -> bool:
 
     Decided by exact character comparison over Z[zeta_n]: r1 is the twist
     of r2 by chi(a, b, c) = zeta^{ua + vb} exactly when the inner product
-    <chi_{r1}, chi * chi_{r2}> equals |H_n|.  As chi is constant on the
-    central fibres, the inner product is the sum over (a, b) of
-    zeta^{-(ua + vb)} S(a, b), where S(a, b) sums chi_{r1} * conj(chi_{r2})
-    over the fibre; elements where either character vanishes are skipped.
+    <chi_{r1}, chi * chi_{r2}> equals |H_n|.  The characters vanish off
+    a = 0, and chi_i(0, b, c) = zeta^{alpha_i c} chi_i(0, b, 0), so the sum
+    over the central fibre of (0, b) is the one product
+    S(b) = (sum_c zeta^{(alpha_1 - alpha_2) c}) chi_1(0, b, 0) conj(chi_2(0, b, 0)),
+    and the inner product is sum_b zeta^{-vb} S(b), whatever u is.  So n
+    characters chi(0, v) are tested against n fibre sums.
     """
     _require_comparable(r1, r2)
     n = r1.n
     ring = CyclotomicRing(n)
-    fibre_sums = {}
-    for g in heisenberg_group(n).elements():
-        x1 = r1.character(g, ring)
+    centre = ring.zero()
+    for c in range(n):
+        centre = ring.add(centre, ring.zeta_power((r1.alpha - r2.alpha) * c))
+    support = []
+    for b in range(n):
+        x1 = r1.character((0, b, 0), ring)
         if ring.is_zero(x1):
             continue
-        x2 = r2.character(g, ring)
+        x2 = r2.character((0, b, 0), ring)
         if ring.is_zero(x2):
             continue
-        ab = g[:2]
-        fibre_sums[ab] = ring.add(fibre_sums.get(ab, ring.zero()), ring.mul(x1, ring.conj(x2)))
-    support = [(a, b, s) for (a, b), s in fibre_sums.items() if not ring.is_zero(s)]
+        support.append((b, ring.mul(centre, ring.mul(x1, ring.conj(x2)))))
     order_vec = ring.scale(n ** 3, ring.one())
-    for u in range(n):
-        for v in range(n):
-            total = ring.zero()
-            for a, b, s in support:
-                total = ring.add(total, ring.mul(ring.zeta_power(-(u * a + v * b)), s))
-            if total == order_vec:
-                return True
+    for v in range(n):
+        total = ring.zero()
+        for b, s in support:
+            total = ring.add(total, ring.mul(ring.zeta_power(-v * b), s))
+        if total == order_vec:
+            return True
     return False
-
-
-def character_norm_is_one(r: MonomialRep) -> bool:
-    """Irreducibility via the exact character norm."""
-    n = r.n
-    ring = CyclotomicRing(n)
-    G = heisenberg_group(n)
-    total = ring.zero()
-    for g in G.elements():
-        ch = r.character(g, ring)
-        total = ring.add(total, ring.mul(ch, ring.conj(ch)))
-    return total == ring.scale(G.order, ring.one())
-
-
-def projective_centralizer_monomial(r: MonomialRep):
-    """Monomial matrices centralizing the projectivized image.
-
-    Candidates commute with the images of A and B up to scalars, which
-    suffices for the whole image (the scalar defect is multiplicative on
-    generators).  Returns the matrices modulo global scalars.
-    """
-    from itertools import permutations, product
-    n = r.n
-    rho_a, rho_b = r.rho_A(), r.rho_B()
-    reps = {}
-    for perm in permutations(range(n)):
-        for exps in product(range(n), repeat=n):
-            m = Monomial(n, perm, exps)
-            ok = True
-            for gen in (rho_a, rho_b):
-                left = m.mul(gen)
-                right = gen.mul(m)
-                # left == zeta^k right for some k
-                if left.perm != right.perm:
-                    ok = False
-                    break
-                ks = {(l - rr) % n for l, rr in zip(left.exps, right.exps)}
-                if len(ks) != 1:
-                    ok = False
-                    break
-            if ok:
-                # normalize modulo scalars: force the first exponent to 0
-                key = (perm, tuple((e - exps[0]) % n for e in exps))
-                reps[key] = m
-    return list(reps.values())

@@ -167,15 +167,19 @@ def _dominant_doubled(simple_coroots, lam2) -> bool:
 
 
 def _doubled_highest_weight(rd: BasedRootDatum, lam) -> tuple:
-    """2 lam as integers, once lam has the datum's rank and is half-integral and dominant."""
+    """2 lam as integers, once lam has the datum's rank, is half-integral and
+    dominant, and pairs to an integer with every simple coroot."""
     lam2 = tuple(2 * Fraction(x) for x in lam)
     if len(lam2) != rd.rank:
         raise InputError(f"highest weight has length {len(lam2)} but the datum has rank {rd.rank}")
     if any(d.denominator != 1 for d in lam2):
         raise InputError("highest weight must be at most half-integral")
     lam2 = tuple(int(d) for d in lam2)
-    if not _dominant_doubled(rd.simple_coroots, lam2):
+    pairings = [_dot(lam2, av) for av in rd.simple_coroots]
+    if any(p < 0 for p in pairings):
         raise InputError("highest weight must be dominant")
+    if any(p % 2 for p in pairings):
+        raise InputError("highest weight must pair to an integer with every simple coroot")
     return lam2
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -141,6 +142,8 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     ("spin-weights", "--n", "3", "--family", "X"),
     ("no-such-subcommand",),
     ("branch",),
+    ("dim", "--group", "A1.sc", "--weight", "1/2"),
+    ("dim", "--group", "C3.sc", "--weight", "1/2,1/2,1/2"),
 ])
 def test_argument_errors_exit_2(capsys, argv):
     code = main(list(argv))
@@ -188,6 +191,23 @@ def _fuzz_argv(rng, kind):
     return [kind, "--n", str(n), "--alpha", str(pair[0]), "--beta", str(pair[1])]
 
 
+def _fuzz_dim_argv(rng):
+    """A highest weight that may be half-integral, of the wrong length or unparsable."""
+    group = rng.choice(("A1.sc", "A2.sc", "B2.adjoint", "C2.sc", "C3.sc", "G2.sc",
+                        "B3.adjoint", "GL3", "SO5"))
+    rank = {"A1": 1, "A2": 2, "B2": 2, "C2": 2, "C3": 3, "G2": 2, "B3": 3,
+            "GL": 3, "SO": 2}[group[:2]]
+    length = rng.choice((rank, rank, rank, rng.randint(0, rank + 2)))
+    entries = [rng.choice((0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1, Fraction(-1, 2)))
+               for _ in range(length)]
+    if rng.random() < 0.7:
+        entries.sort(reverse=True)   # dominant in e coordinates
+    entries = [str(x) for x in entries]
+    if rng.random() < 0.2:
+        entries.append(rng.choice(("x", "", "1/3", "1/0", "0.5.1")))
+    return ["dim", "--group", group, "--weight=" + ",".join(entries)]
+
+
 def _invalid_choice_argv(rng):
     """An argument argparse refuses: a bad choice, a bad number, a missing or unknown name."""
     junk = rng.choice(("X", "", "b", "plus", "-1", "3.5", "so3"))
@@ -217,6 +237,9 @@ def test_cli_fuzz(capsys):
     # invalid choices come after, from their own seed, so the cases above keep their inputs
     rng = random.Random(20122)
     cases += [_invalid_choice_argv(rng) for _ in range(30)]
+    # highest weights for dim come last, from a seed of their own
+    rng = random.Random(20123)
+    cases += [_fuzz_dim_argv(rng) for _ in range(40)]
     codes = []
     for argv in cases:
         start = time.perf_counter()
@@ -230,7 +253,8 @@ def test_cli_fuzz(capsys):
         assert elapsed < 3.0, argv
         codes.append(code)
     assert {0, 2, 3} <= set(codes[:90])
-    assert codes[90:].count(2) >= 25
+    assert codes[90:120].count(2) >= 25
+    assert {0, 2} == set(codes[120:])
 
 
 def test_help_exits_0(capsys):
@@ -457,3 +481,26 @@ def test_python_m_liftcalc_matches_cli_module():
     assert package.returncode == module.returncode == 0
     assert package.stdout == module.stdout
     assert json.loads(package.stdout)["dimension"] == 64
+
+
+def test_dim_half_integral_weight_exits_2(capsys):
+    # 1/2 pairs to 1/2 with the coroot of A1.sc: refused before the Weyl product
+    code = main(["dim", "--group", "A1.sc", "--weight", "1/2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "input error: highest weight must pair to an integer with every simple coroot"
+    # the spin weight of B3 pairs to integers with every simple coroot
+    code, out = run(capsys, "dim", "--group", "B3.adjoint", "--weight", "1/2,1/2,1/2")
+    assert code == 0 and json.loads(out)["dimension"] == 8
+
+
+def test_heisenberg_just_above_the_modulus_bound_exits_3(capsys):
+    n = MAX_MODULUS + 1
+    beta = next(x for x in range(2, n) if gcd(x, n) == 1)
+    start = time.perf_counter()
+    code = main(["heisenberg-demo", "--n", str(n), "--alpha", "1", "--beta", str(beta)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert elapsed < 1.0

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -7,14 +8,13 @@ from liftcalc import heisenberg
 from liftcalc.heisenberg import (
     MAX_MODULUS,
     CyclotomicRing,
+    Monomial,
     MonomialRep,
-    character_norm_is_one,
     cyclotomic_polynomial,
     determinant_closed_form,
     elementwise_projective_conjugate,
     globally_twist_equivalent,
     heisenberg_group,
-    projective_centralizer_monomial,
     rep_determinant,
     rep_determinant_matches_closed_form,
     rep_rho,
@@ -71,6 +71,51 @@ def elementwise_by_full_scan(r1, r2):
             return False, witnesses
         witnesses[g] = found
     return True, witnesses
+
+
+def character_norm_is_one(r):
+    """Irreducibility via the exact character norm."""
+    n = r.n
+    ring = CyclotomicRing(n)
+    G = heisenberg_group(n)
+    total = ring.zero()
+    for g in G.elements():
+        ch = r.character(g, ring)
+        total = ring.add(total, ring.mul(ch, ring.conj(ch)))
+    return total == ring.scale(G.order, ring.one())
+
+
+def projective_centralizer_monomial(r):
+    """Monomial matrices centralizing the projectivized image, by brute force.
+
+    Candidates commute with the images of A and B up to scalars, which
+    suffices for the whole image (the scalar defect is multiplicative on
+    generators).  Returns the matrices modulo global scalars.  It tries
+    all n! * n^n monomial matrices, so it is for small n only.
+    """
+    n = r.n
+    rho_a, rho_b = r.rho_A(), r.rho_B()
+    reps = {}
+    for perm in permutations(range(n)):
+        for exps in product(range(n), repeat=n):
+            m = Monomial(n, perm, exps)
+            ok = True
+            for gen in (rho_a, rho_b):
+                left = m.mul(gen)
+                right = gen.mul(m)
+                # left == zeta^k right for some k
+                if left.perm != right.perm:
+                    ok = False
+                    break
+                ks = {(l - rr) % n for l, rr in zip(left.exps, right.exps)}
+                if len(ks) != 1:
+                    ok = False
+                    break
+            if ok:
+                # normalize modulo scalars: force the first exponent to 0
+                key = (perm, tuple((e - exps[0]) % n for e in exps))
+                reps[key] = m
+    return list(reps.values())
 
 
 class AnyAlphaRep(MonomialRep):
@@ -184,17 +229,36 @@ def test_local_global_gap(n):
             assert globally_twist_equivalent(r1, r2) == (a == b)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_twist_equivalence_matches_full_scan(n):
-    for a in units(n):
-        for b in units(n):
-            r1, r2 = rep_rho(n, a), rep_rho(n, b)
-            assert globally_twist_equivalent(r1, r2) == twist_equivalent_by_full_scan(r1, r2)
+    pairs = [(a, b) for a in units(n) for b in units(n)]
+    if n > 6:
+        # the full scan costs about 0.4 s a pair at n = 7: one equal and one distinct pair
+        pairs = [(3, 3), (3, 5)]
+    for a, b in pairs:
+        r1, r2 = rep_rho(n, a), rep_rho(n, b)
+        assert globally_twist_equivalent(r1, r2) == twist_equivalent_by_full_scan(r1, r2)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [4, 6])
+def test_twist_equivalence_non_unit_alphas_match_full_scan(n):
+    # with a non-unit alpha the characters need not vanish off the centre;
+    # at n = 6 the alphas are 0, a unit, and one each of gcd 2 and 3
+    alphas = range(n) if n < 6 else (0, 1, 2, 3)
+    verdicts = set()
+    for a in alphas:
+        for b in alphas:
+            r1, r2 = AnyAlphaRep(n, a), AnyAlphaRep(n, b)
+            got = globally_twist_equivalent(r1, r2)
+            assert got == twist_equivalent_by_full_scan(r1, r2)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_elementwise_matches_full_scan(n):
-    for a in units(n):
+    # past n = 8 the left unit is one of two, which still gives every drift a - b
+    for a in units(n) if n <= 8 else units(n)[:2]:
         for b in units(n):
             r1, r2 = rep_rho(n, a), rep_rho(n, b)
             same, wit = elementwise_projective_conjugate(r1, r2)
@@ -203,7 +267,7 @@ def test_elementwise_matches_full_scan(n):
             assert list(wit.items()) == list(want_wit.items())
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8])
 def test_elementwise_partial_witnesses_match_full_scan(n):
     # non-unit alphas make some fibre fail, so the partial witness dicts are compared too
     verdicts = set()
@@ -238,11 +302,27 @@ def test_modulus_bound(monkeypatch):
 
     monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
     monkeypatch.setattr(heisenberg, "CyclotomicRing", no_scan)
-    r1, r2 = rep_rho(MAX_MODULUS + 1, 1), rep_rho(MAX_MODULUS + 1, 2)
+    n = MAX_MODULUS + 1
+    r1, r2 = rep_rho(n, 1), rep_rho(n, units(n)[1])
     with pytest.raises(BoundError):
         elementwise_projective_conjugate(r1, r2)
     with pytest.raises(BoundError):
         globally_twist_equivalent(r1, r2)
+
+
+def test_deciders_work_per_fibre(monkeypatch):
+    # neither decider may fall back to scanning the n^3 group elements or
+    # to building eigenvalue multisets, which stay the oracles above
+    def no_scan(*args):
+        raise AssertionError("fell back to a scan of the group")
+
+    monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
+    monkeypatch.setattr(Monomial, "eigenvalue_multiset", no_scan)
+    for n, a, b in ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30)):
+        r1, r2 = rep_rho(n, a), rep_rho(n, b)
+        same, wit = elementwise_projective_conjugate(r1, r2)
+        assert same and len(wit) == n ** 3
+        assert globally_twist_equivalent(r1, r2) == (a == b)
 
 
 def test_elementwise_self():

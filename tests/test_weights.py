@@ -443,6 +443,8 @@ def weyl_dimension_by_fractions(rd, lam):
         raise InputError("highest weight must be at most half-integral")
     if any(sum(int(x) * c for x, c in zip(lam2, av)) < 0 for av in rd.simple_coroots):
         raise InputError("highest weight must be dominant")
+    if any(sum(x * c for x, c in zip(lamf, av)).denominator != 1 for av in rd.simple_coroots):
+        raise InputError("highest weight must pair to an integer with every simple coroot")
     rho = half_sum_positive_roots(rd)
     coroot_of = coroot_table_by_dual_walk(rd)
     dim = Fraction(1)
@@ -496,6 +498,29 @@ def test_highest_weight_errors_are_unchanged(lam, message):
         with pytest.raises(InputError) as info:
             fn(rd, lam)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A1.sc", (Fraction(1, 2),)),
+    ("C3.sc", (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))),
+    ("B3.adjoint", (Fraction(3, 2), Fraction(1, 2), 0)),
+    ("GL3", (Fraction(3, 2), 1, 0)),
+])
+def test_half_integral_weight_off_the_weight_lattice_is_refused(name, lam):
+    # a weight pairing to a non-integer with a simple coroot is no highest
+    # weight: refused before Freudenthal or the Weyl product starts
+    rd = datum_by_name(name)
+    message = "highest weight must pair to an integer with every simple coroot"
+    for fn in (weyl_dimension, weyl_dimension_by_fractions, irrep_weight_multiset):
+        with pytest.raises(InputError) as info:
+            fn(rd, lam)
+        assert str(info.value) == message
+
+
+def test_half_integral_weights_on_the_weight_lattice_are_kept():
+    # (1/2, 1/2) pairs to 0 with the GL2 coroot, and (1/2,)*3 is the B3 spin weight
+    assert weyl_dimension(datum_by_name("GL2"), (Fraction(1, 2), Fraction(1, 2))) == 1
+    assert irrep_weight_multiset(datum_by_name("B3.adjoint"), (Fraction(1, 2),) * 3).dimension == 8
 
 
 # The restriction of a spin multiset is a convolution; the enumeration of
