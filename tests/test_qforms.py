@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from test_golden_qforms import seeded_grams
 
 from liftcalc import qforms
 from liftcalc.intmat import BoundError, InputError
@@ -90,6 +91,85 @@ def diagonalize_two_sided(q):
                 for t in range(n):
                     m[t][k] -= f * m[t][i]
     return [m[i][i] for i in range(n)]
+
+
+def diagonalize_by_fractions(q):
+    """Diagonal entries by Fraction elimination of the trailing block from each pivot row."""
+    n = q.rank
+    m = [list(r) for r in q.gram]
+    for i in range(n):
+        if m[i][i] == 0:
+            swap = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for r in m:
+                    r[i], r[swap] = r[swap], r[i]
+            else:
+                found = next(((k, l) for k in range(i, n) for l in range(i, n)
+                              if k != l and m[k][l] != 0), None)
+                if found is None:
+                    raise InputError("degenerate form")
+                k, l = found
+                for t in range(n):
+                    m[k][t] += m[l][t]
+                for t in range(n):
+                    m[t][k] += m[t][l]
+                m[i], m[k] = m[k], m[i]
+                for r in m:
+                    r[i], r[k] = r[k], r[i]
+        if m[i][i] == 0:
+            raise InputError("degenerate form")
+        pivot = m[i]
+        for k in range(i + 1, n):
+            row = m[k]
+            if row[i] != 0:
+                f = row[i] / pivot[i]
+                for t in range(i + 1, n):
+                    row[t] -= f * pivot[t]
+                row[i] = 0
+        pivot[i + 1:] = [0] * (n - i - 1)
+    return [m[i][i] for i in range(n)]
+
+
+def hasse_pairwise(diag, places):
+    """The Hasse symbol at each place as the product of (a_i, a_j) over all pairs i < j."""
+    classes = [squarefree_class(d) for d in diag]
+    out = {}
+    for place in places:
+        s = 1
+        for i in range(len(classes)):
+            for j in range(i + 1, len(classes)):
+                s *= hilbert_symbol(classes[i], classes[j], place)
+        out[place] = s
+    return out
+
+
+def _oracle_forms():
+    yield from seeded_grams()
+    # a 60 x 60 diagonal form: no pivot column has a nonzero entry below it
+    rng = random.Random(60)
+    entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 4))
+               for _ in range(60)]
+    yield [[entries[i] if i == j else Fraction(0) for j in range(60)] for i in range(60)]
+
+
+def test_diagonalize_and_hasse_match_oracles():
+    checked = 0
+    for g in _oracle_forms():
+        q = QForm.from_gram(g)
+        try:
+            want = diagonalize_by_fractions(q)
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                diagonalize(q)
+            continue
+        got = diagonalize(q)
+        assert got == want
+        assert all(type(d) is Fraction for d in got)
+        inv = invariants(q)
+        assert inv.hasse == hasse_pairwise(want, list(inv.hasse))
+        checked += 1
+    assert checked > 600
 
 
 def _det(rows):
