@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .intmat import BoundError, InputError
 
@@ -27,7 +27,11 @@ class QForm:
 
     @staticmethod
     def from_gram(rows) -> "QForm":
-        g = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        return QForm._checked(tuple(tuple(Fraction(x) for x in r) for r in rows))
+
+    @staticmethod
+    def _checked(g: tuple) -> "QForm":
+        """The form of a tuple of Fraction rows, once they are square and symmetric."""
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
@@ -58,21 +62,51 @@ class QForm:
 
     @staticmethod
     def from_json(data) -> "QForm":
+        """The form of a JSON Gram payload, each entry parsed once.
+
+        A Gram file repeats few distinct strings, so equal strings share
+        one Fraction, and the symmetry test then compares them by identity.
+        """
+        parsed = {}
+
+        def entry(x):
+            if type(x) is not str:
+                return Fraction(x)
+            f = parsed.get(x)
+            if f is None:
+                f = parsed[x] = Fraction(x)
+            return f
+
         try:
-            return QForm.from_gram([[Fraction(x) for x in r] for r in data])
+            return QForm._checked(tuple(tuple(entry(x) for x in r) for r in data))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad Gram matrix payload: {exc}") from exc
 
 
 def diagonalize(q: QForm) -> list:
-    """Diagonal entries of a rationally congruent diagonal form."""
+    """Diagonal entries of a rationally congruent diagonal form.
+
+    Each row is held as integer numerators over one positive denominator.
+    Pivots are chosen by zero tests alone, which a row's scale does not
+    change.  Eliminating v_k -= (m[k][i] / m[i][i]) v_i leaves the trailing
+    block as the Schur complement of the pivot; only rows with a nonzero
+    entry in the pivot column change, and each is then divided by the gcd
+    of its numerators and denominator, which keeps that denominator the
+    least common one of the row.
+    """
     n = q.rank
-    m = [list(r) for r in q.gram]
+    m, den = [], []
+    for r in q.gram:
+        d = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (d // x.denominator) for x in r])
+        den.append(d)
+    diag = []
     for i in range(n):
         if m[i][i] == 0:
             swap = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
             if swap is not None:
                 m[i], m[swap] = m[swap], m[i]
+                den[i], den[swap] = den[swap], den[i]
                 for r in m:
                     r[i], r[swap] = r[swap], r[i]
             else:
@@ -88,27 +122,35 @@ def diagonalize(q: QForm) -> list:
                     raise InputError("degenerate form")
                 k, l = found
                 # basis v_k += v_l makes the (k, k) entry 2 * m[k][l]
-                for t in range(n):
-                    m[k][t] += m[l][t]
-                for t in range(n):
-                    m[t][k] += m[t][l]
+                dk, dl = den[k], den[l]
+                m[k] = [a * dl + b * dk for a, b in zip(m[k], m[l])]
+                den[k] = dk * dl
+                for r in m:
+                    r[k] += r[l]
                 m[i], m[k] = m[k], m[i]
+                den[i], den[k] = den[k], den[i]
                 for r in m:
                     r[i], r[k] = r[k], r[i]
-        if m[i][i] == 0:
+        p = m[i][i]
+        if p == 0:
             raise InputError("degenerate form")
-        # eliminating v_k -= (m[k][i] / m[i][i]) v_i on both sides leaves the
-        # trailing block as the Schur complement of the pivot
-        pivot = m[i]
+        diag.append(Fraction(p, den[i]))
+        # row_k - (r / p) pivot over den_k is (p row_k - r pivot) / (p den_k):
+        # the pivot row's own denominator cancels
+        s, tail = (p, m[i][i + 1:]) if p > 0 else (-p, [-x for x in m[i][i + 1:]])
         for k in range(i + 1, n):
             row = m[k]
-            if row[i] != 0:
-                f = row[i] / pivot[i]
-                for t in range(i + 1, n):
-                    row[t] -= f * pivot[t]
-                row[i] = 0
-        pivot[i + 1:] = [0] * (n - i - 1)
-    return [m[i][i] for i in range(n)]
+            r = row[i]
+            if r != 0:
+                new = [s * a - r * b for a, b in zip(row[i + 1:], tail)]
+                d = s * den[k]
+                g = gcd(d, *new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    d //= g
+                row[i + 1:] = new
+                den[k] = d
+    return diag
 
 
 def _factor(n: int) -> dict:
@@ -218,8 +260,9 @@ def invariants(q: QForm) -> QFormInvariants:
     """Signature, discriminant square class, and Hasse symbols of a form.
 
     The Hasse invariant at each place is the product of the pairwise
-    Hilbert symbols of a diagonalization; the global product formula is
-    verified before returning.
+    Hilbert symbols of a diagonalization, taken as n - 1 symbols against
+    the running discriminant; the global product formula is verified
+    before returning.
     """
     diag = diagonalize(q)
     classes, primes = [], {2}
@@ -230,19 +273,17 @@ def invariants(q: QForm) -> QFormInvariants:
     pos = sum(1 for d in diag if d > 0)
     neg = len(diag) - pos
     # squarefree a, b with g = gcd(a, b): a b = (a/g)(b/g) g^2, so the
-    # discriminant class needs no factoring
-    disc = 1
+    # running discriminant class d_j of a_1 ... a_j needs no factoring
+    discs = [1]
     for c in classes:
-        g = gcd(disc, c)
-        disc = (disc // g) * (c // g)
+        g = gcd(discs[-1], c)
+        discs.append((discs[-1] // g) * (c // g))
+    disc = discs[-1]
+    # bilinearity: the product of (a_i, a_j) over i < j is the product of
+    # (d_{j-1}, a_j) over j >= 2, n - 1 symbols per place
+    pairs = list(zip(discs[1:-1], classes[1:]))
     places = ["inf"] + sorted(primes)
-    hasse = {}
-    for place in places:
-        s = 1
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                s *= hilbert_symbol(classes[i], classes[j], place)
-        hasse[place] = s
+    hasse = {place: prod(hilbert_symbol(d, c, place) for d, c in pairs) for place in places}
     if prod(hasse.values()) != 1:
         raise AssertionError("Hilbert product formula violated; symbol computation broken")
     return QFormInvariants(q.rank, (pos, neg), disc, hasse)
