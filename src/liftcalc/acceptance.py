@@ -21,7 +21,7 @@ from .heisenberg import (
     rep_determinant_matches_closed_form,
     rep_rho,
 )
-from .intmat import InputError, IntMatrix, smith_normal_form, torus_lift
+from .intmat import BoundError, InputError, IntMatrix, smith_normal_form, torus_lift
 from .lifting import (
     HodgeFamily,
     ParameterPair,
@@ -227,7 +227,7 @@ def check_k3_clifford(rng):
         q = QForm.from_gram(gram)
         try:
             table = even_clifford_split(q)
-        except Exception:
+        except (InputError, BoundError):
             continue
         oracle = even_clifford_split_oracle(q)
         _expect(table.split == oracle.split,
@@ -244,9 +244,7 @@ def check_hasse_product(rng):
         gram = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
         try:
             invariants(QForm.from_gram(gram))  # raises if the product formula fails
-        except Exception as exc:
-            if "product formula" in str(exc):
-                raise CheckFailure(str(exc))
+        except (InputError, BoundError):
             continue
         done += 1
     return {"forms": done}

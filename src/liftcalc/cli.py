@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verification failed or a lift is obstructed,
-2 malformed input, 3 a feasibility bound was exceeded.
+Exit codes: 0 success, 1 a verification failed, a lift is obstructed or
+stdout closed before the report was written, 2 malformed input, 3 a
+feasibility bound was exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -383,7 +385,9 @@ def build_parser():
 
     s = sub.add_parser("dim", parents=[common], help="Weyl dimension of a highest weight")
     s.add_argument("--group", required=True)
-    s.add_argument("--weight", required=True, help="comma-separated, e.g. 2,1,0")
+    s.add_argument("--weight", required=True,
+                   help="comma-separated, e.g. 2,1,0; write a leading minus as "
+                        "--weight=-1,0,0, since argparse reads -1,0,0 as an option")
     s.set_defaults(func=cmd_dim)
 
     s = sub.add_parser("qform-invariants", parents=[common], help="signature, discriminant, Hasse symbols")
@@ -415,14 +419,23 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args, args.format, args.seed)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args, args.format, args.seed)
+        finally:
+            # a pipe's reader may be gone already; find out here, not at shutdown
+            sys.stdout.flush()
     except BoundError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # stdout closed before the report was written (``| head -1``); point
+        # it at devnull so the flush at interpreter shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -167,29 +167,6 @@ class HeisenbergGroup:
     def identity(self):
         return (0, 0, 0)
 
-    def commutator(self, g, h):
-        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
-
-    def center(self):
-        els = self.elements()
-        out = []
-        for z in els:
-            if all(self.mul(z, g) == self.mul(g, z) for g in els):
-                out.append(z)
-        return out
-
-    def conjugacy_classes(self):
-        els = self.elements()
-        seen = set()
-        classes = []
-        for g in els:
-            if g in seen:
-                continue
-            orbit = {self.mul(self.mul(h, g), self.inv(h)) for h in els}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
-
 
 def heisenberg_group(n: int) -> HeisenbergGroup:
     return HeisenbergGroup(n)

@@ -494,6 +494,35 @@ def test_dim_half_integral_weight_exits_2(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 8
 
 
+def test_dim_weight_with_leading_minus(capsys):
+    # argparse reads a separate -1,0,0 as an option; the = spelling reaches the program
+    code = main(["dim", "--group", "C3.sc", "--weight", "-1,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: argument --weight: expected one argument\n"
+    code = main(["dim", "--group", "C3.sc", "--weight=-1,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: highest weight must be dominant\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-paper", "--check", "gl1-feasibility"],
+                                  ["dim", "--group", "C3.sc", "--weight", "2,1,0",
+                                   "--format", "table"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(liftcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # the reading end is closed before the process starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liftcalc", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_heisenberg_just_above_the_modulus_bound_exits_3(capsys):
     n = MAX_MODULUS + 1
     beta = next(x for x in range(2, n) if gcd(x, n) == 1)

@@ -118,6 +118,30 @@ def projective_centralizer_monomial(r):
     return list(reps.values())
 
 
+def commutator(G, g, h):
+    return G.mul(G.mul(g, h), G.mul(G.inv(g), G.inv(h)))
+
+
+def center_by_scan(G):
+    """Elements commuting with every element, by comparing all n^6 products."""
+    els = G.elements()
+    return [z for z in els if all(G.mul(z, g) == G.mul(g, z) for g in els)]
+
+
+def conjugacy_classes_by_scan(G):
+    """Conjugacy classes as sorted tuples, each orbit found by conjugating with every element."""
+    els = G.elements()
+    seen = set()
+    classes = []
+    for g in els:
+        if g in seen:
+            continue
+        orbit = {G.mul(G.mul(h, g), G.inv(h)) for h in els}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
 class AnyAlphaRep(MonomialRep):
     """The same monomial formula with alpha not required to be a unit."""
 
@@ -160,14 +184,15 @@ def test_conj_matches_powers(n):
 def test_group_order_and_center():
     G = heisenberg_group(3)
     assert G.order == 27
-    assert len(G.center()) == 3
-    assert all(z[0] == 0 and z[1] == 0 for z in G.center())
+    center = center_by_scan(G)
+    assert len(center) == 3
+    assert all(z[0] == 0 and z[1] == 0 for z in center)
 
 
 def test_group_n2_is_dihedral():
     G = heisenberg_group(2)
     assert G.order == 8
-    sizes = sorted(len(c) for c in G.conjugacy_classes())
+    sizes = sorted(len(c) for c in conjugacy_classes_by_scan(G))
     assert sizes == [1, 1, 2, 2, 2]
 
 
@@ -175,7 +200,7 @@ def test_group_law_commutator():
     for n in (2, 3, 4, 5):
         G = heisenberg_group(n)
         A, B, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        assert G.commutator(A, B) == Z
+        assert commutator(G, A, B) == Z
         # Z is central
         for g in ((1, 2, 0), (2, 1, 1)):
             g = tuple(x % n for x in g)
