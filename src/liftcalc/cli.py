@@ -434,7 +434,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout closed before the report was written (``| head -1``); point
         # it at devnull so the flush at interpreter shutdown stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_VERIFICATION
 
 
