@@ -64,8 +64,8 @@ class QForm:
     def from_json(data) -> "QForm":
         """The form of a JSON Gram payload, each entry parsed once.
 
-        A Gram file repeats few distinct strings, so equal strings share
-        one Fraction, and the symmetry test then compares them by identity.
+        A Gram file repeats few distinct strings, so each distinct string
+        is parsed to one Fraction that its repeats share.
         """
         parsed = {}
 
