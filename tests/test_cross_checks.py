@@ -61,12 +61,11 @@ def test_mixed_moduli_totally_real_cross_check():
 def test_lambda_lifts_composite_and_sl3():
     rd = composite_a2_a5()
     cqd = central_quotient_data(rd, minimal_torus_embed(rd))
-    lams = cqd.lambda_lifts
-    assert len(lams) == 2
+    assert cqd.r == 2
     sl3 = simple_type("A", 2, "sc")
     from liftcalc.rootdata import gm_embed
     cqd2 = central_quotient_data(sl3, gm_embed(sl3))
-    assert len(cqd2.lambda_lifts) == 1
+    assert cqd2.r == 1
 
 
 def test_kuga_satake_alternative_pairings_g3():

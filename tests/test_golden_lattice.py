@@ -25,7 +25,7 @@ from liftcalc.rootdata import (
 )
 
 SOLVER_DIGEST = "2305b3e9d2c14d7c9be769d7e1051d400616ff8c7a77ded30dd3a20be876ae07"
-QUOTIENT_DIGEST = "1d641f6194acf31235dcd0a2230d2f685db35853983e38ed166b4fbfe1234bac"
+QUOTIENT_DIGEST = "4675950f5dfb9554ee2d0f5cf1a212ab7c5d1e92864d1aa9f56266a399571a0b"
 CLASSIFY_DIGEST = "e3c66022eaa25e5d7b1a50074132879dbca9fc0d30855ca50bdac2e6aad0dea0"
 CLI_DIGESTS = {
     "classify": "f7fb00eab2f63412e3babcc1c857b9db18b7057cbdf6d6e2d5438c3160c1609a",
@@ -87,7 +87,7 @@ def quotient_lines():
     for name, rd, cqd in _cqds():
         lines.append(repr((name, cqd.center, cqd.embed, cqd.ztilde_rank, cqd.basis_change,
                            cqd.d, cqd.trivial_dirs, cqd.free_dirs, cqd.torsion_lifts,
-                           cqd.fiber_basis, cqd.lambda_lifts)))
+                           cqd.fiber_basis)))
         for _ in range(20):
             chi = tuple(rng.randint(-6, 6) for _ in range(rd.rank))
             lines.append(repr((chi, cqd.normalized_class(chi))))
