@@ -23,7 +23,6 @@ from .intmat import (
     congruence_system,
     ext1_to_Z,
     invert_unimodular,
-    kernel_basis,
     smith_normal_form,
     solve_linear,
     solve_rational,
@@ -538,95 +537,6 @@ class CentralQuotientData:
         tor_z = tuple(cls_z[i] % m for i, m in enumerate(self.center.moduli))
         free_z = tuple(cls_z[len(self.center.moduli):])
         return tor_c == tor_z and tuple(free_c) == free_z
-
-    @cached_property
-    def lambda_lifts(self) -> tuple:
-        """Dominant functionals on X(Ttilde) dual to the kernel generators d_i w_i.
-
-        lambda_i is an integer functional with lambda_i(0, d_j w_j) =
-        delta_ij and non-negative values on the simple roots of the
-        extended group, chosen to minimize the sum of root values (ties
-        broken lexicographically) within a bounded lattice search.
-        """
-        n = self.G.rank
-        m = self.ztilde_rank
-        B = self.fiber_basis
-        kdim = B.cols
-        # coordinates in the fiber basis of the kernel generators (0, d_i w_i)
-        tvecs = []
-        for i in range(self.r):
-            w = self.basis_change.col(i)
-            vec = tuple([0] * n) + tuple(self.d[i] * x for x in w)
-            t = solve_linear(B, vec)
-            if t is None:
-                raise AssertionError("kernel generator not in the fiber lattice")
-            tvecs.append(t)
-        # coordinates of the simple roots (alpha_j, 0)
-        rvecs = []
-        for a in self.G.simple_roots:
-            vec = tuple(a) + tuple([0] * m)
-            t = solve_linear(B, vec)
-            if t is None:
-                raise AssertionError("root not in the fiber lattice")
-            rvecs.append(t)
-        # matrices of the Weyl reflections acting on fiber-basis coordinates
-        refl_mats = []
-        for s in simple_reflections(self.G):
-            cols = []
-            for j in range(kdim):
-                v = B.col(j)
-                img = tuple(s.apply(v[:n])) + tuple(v[n:])
-                t = solve_linear(B, img)
-                if t is None:
-                    raise AssertionError("fiber lattice not Weyl stable")
-                cols.append(t)
-            refl_mats.append(IntMatrix.from_rows([list(r) for r in zip(*cols)]))
-        lams = []
-        for i in range(self.r):
-            M = IntMatrix.from_rows([list(t) for t in tvecs])
-            target = tuple(1 if j == i else 0 for j in range(self.r))
-            lam0 = solve_linear(M, target)
-            if lam0 is None:
-                raise AssertionError("no functional dual to the kernel generators")
-            ker = kernel_basis(M)
-            lam = self._dominantize(lam0, ker, rvecs, refl_mats)
-            lams.append(tuple(lam))
-        # the lambda_i hit a generating set of Ext^1, making the connecting
-        # map of the exact sequence surjective
-        return tuple(lams)
-
-    def _dominantize(self, lam0, ker, rvecs, refl_mats):
-        def vals(lam):
-            return tuple(sum(a * b for a, b in zip(lam, rv)) for rv in rvecs)
-
-        def feasible(lam):
-            return all(v >= 0 for v in vals(lam))
-
-        # Weyl dominantization: reflect while some root value is negative;
-        # the constraints live on central elements, which the reflections fix
-        lam = list(lam0)
-        while True:
-            vs = vals(lam)
-            neg = [j for j, v in enumerate(vs) if v < 0]
-            if not neg:
-                break
-            A = refl_mats[neg[0]]
-            lam = [sum(lam[a] * A[a, b] for a in range(len(lam))) for b in range(len(lam))]
-        # bounded search for the minimal dominant representative
-        best = (sum(vals(lam)), vals(lam), tuple(lam))
-        radius = 2 if len(ker) <= 6 else 1
-        offsets = [()]
-        for _ in ker:
-            offsets = [o + (c,) for o in offsets for c in range(-radius, radius + 1)]
-        for off in offsets:
-            cand = list(lam)
-            for c, k in zip(off, ker):
-                cand = [a + c * b for a, b in zip(cand, k)]
-            if feasible(cand):
-                key = (sum(vals(cand)), vals(cand), tuple(cand))
-                if key < best:
-                    best = key
-        return best[2]
 
 
 def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotientData:
