@@ -14,14 +14,14 @@ from math import gcd, lcm
 
 from .intmat import BoundError, InputError
 
-# Largest modulus the two deciders accept.  The element-wise check solves
-# one linear congruence on each of the n^2 central fibres, and its witness
-# dict holds all n^3 elements; the twist test makes at most n^2 products
-# in Z[zeta_n].  So memory, not time, sets the bound: as a fresh process
-# on a 2-vCPU Xeon with Python 3.11, ``heisenberg-demo`` takes 0.6-0.9 s and
-# peaks at 124 MiB at n = 103, but 132 MiB at n = 107 and 222 MiB at
-# n = 113 (1.2 s).
-MAX_MODULUS = 103
+# Largest modulus the two deciders accept.  The element-wise check keeps one
+# (first, step) pair for each of the n^2 central fibres; the twist test
+# builds the characters at the n elements (0, b, 0), each a sum of n powers
+# of zeta in Z[zeta_n], so time sets the bound, and prime moduli are the
+# slowest.  As fresh processes on a 2-vCPU Xeon with Python 3.11,
+# ``heisenberg-demo`` takes 0.92-1.12 s (median 1.00 s) and peaks at 23 MiB
+# at n = 181, and takes 1.15-1.56 s at n = 199.
+MAX_MODULUS = 181
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,10 @@ def _require_comparable(r1: MonomialRep, r2: MonomialRep):
 def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     """Are the two representations conjugate up to scalar at every element?
 
-    Returns (verdict, witnesses): for each group element the least scalar
-    power k with matching eigenvalue multisets, when one exists.
+    Returns (verdict, fibres), with fibres[(a, b)] = (first, step): the
+    least scalar power k with matching eigenvalue multisets at (a, b, c)
+    is (first + (alpha_1 - alpha_2) c) mod step.  On False, fibres holds
+    the fibres before the failing one, in (a, b) order.
 
     Decided per central fibre in closed form.  rho_i(a, b, 0) shifts the
     basis by a, so it has g = gcd(a, n) cycles, the classes j0 mod g, each
@@ -351,15 +353,15 @@ def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     residue multiset is uniform on a coset of the subgroup h Z/n,
     h = gcd(alpha_i b L, n); so the shifts K0 that match at c = 0 are the t
     with t L = (alpha_1 - alpha_2) b C mod h, when both sides give the same
-    h.  That is a coset of step h / gcd(L, h).  rho_i(a, b, c) is
-    rho_i(a, b, 0) scaled by zeta^(alpha_i c), so the least witness at c is
-    (min K0 + (alpha_1 - alpha_2) c) mod step.  ``Monomial.eigenvalue_multiset``
+    h.  That is a coset of step h / gcd(L, h), and first = min K0.
+    rho_i(a, b, c) is rho_i(a, b, 0) scaled by zeta^(alpha_i c), which
+    moves the coset by (alpha_1 - alpha_2) c.  ``Monomial.eigenvalue_multiset``
     builds the same multisets by walking the cycles.
     """
     _require_comparable(r1, r2)
     n = r1.n
     drift = r1.alpha - r2.alpha
-    witnesses = {}
+    fibres = {}
     for a in range(n):
         g = gcd(a, n)
         L = n // g
@@ -367,16 +369,14 @@ def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
         for b in range(n):
             h = gcd(r1.alpha * b * L, n)
             if gcd(r2.alpha * b * L, n) != h:
-                return False, witnesses
+                return False, fibres
             d = gcd(L, h)
             D = drift * b * C
             if D % d:
-                return False, witnesses
+                return False, fibres
             step = h // d
-            first = D // d * pow(L // d, -1, step) % step
-            for c in range(n):
-                witnesses[(a, b, c)] = (first + drift * c) % step
-    return True, witnesses
+            fibres[(a, b)] = (D // d * pow(L // d, -1, step) % step, step)
+    return True, fibres
 
 
 def globally_twist_equivalent(r1: MonomialRep, r2: MonomialRep) -> bool:

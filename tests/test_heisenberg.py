@@ -73,6 +73,13 @@ def elementwise_by_full_scan(r1, r2):
     return True, witnesses
 
 
+def witnesses_from_fibres(r1, r2, fibres):
+    """The least scalar power at each (a, b, c): (first + (alpha_1 - alpha_2) c) mod step."""
+    drift = r1.alpha - r2.alpha
+    return {(a, b, c): (first + drift * c) % step
+            for (a, b), (first, step) in fibres.items() for c in range(r1.n)}
+
+
 def character_norm_is_one(r):
     """Irreducibility via the exact character norm."""
     n = r.n
@@ -286,22 +293,24 @@ def test_elementwise_matches_full_scan(n):
     for a in units(n) if n <= 8 else units(n)[:2]:
         for b in units(n):
             r1, r2 = rep_rho(n, a), rep_rho(n, b)
-            same, wit = elementwise_projective_conjugate(r1, r2)
+            same, fibres = elementwise_projective_conjugate(r1, r2)
             want_same, want_wit = elementwise_by_full_scan(r1, r2)
             assert same == want_same
+            wit = witnesses_from_fibres(r1, r2, fibres)
             assert list(wit.items()) == list(want_wit.items())
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_elementwise_partial_witnesses_match_full_scan(n):
-    # non-unit alphas make some fibre fail, so the partial witness dicts are compared too
+    # non-unit alphas make some fibre fail, so the fibres before it are compared too
     verdicts = set()
     for a in range(n):
         for b in range(n):
             r1, r2 = AnyAlphaRep(n, a), AnyAlphaRep(n, b)
-            same, wit = elementwise_projective_conjugate(r1, r2)
+            same, fibres = elementwise_projective_conjugate(r1, r2)
             want_same, want_wit = elementwise_by_full_scan(r1, r2)
             assert same == want_same
+            wit = witnesses_from_fibres(r1, r2, fibres)
             assert list(wit.items()) == list(want_wit.items())
             verdicts.add(same)
     assert verdicts == {True, False}
@@ -345,15 +354,15 @@ def test_deciders_work_per_fibre(monkeypatch):
     monkeypatch.setattr(Monomial, "eigenvalue_multiset", no_scan)
     for n, a, b in ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30)):
         r1, r2 = rep_rho(n, a), rep_rho(n, b)
-        same, wit = elementwise_projective_conjugate(r1, r2)
-        assert same and len(wit) == n ** 3
+        same, fibres = elementwise_projective_conjugate(r1, r2)
+        assert same and len(fibres) == n ** 2
         assert globally_twist_equivalent(r1, r2) == (a == b)
 
 
 def test_elementwise_self():
     r = rep_rho(5, 2)
-    same, wit = elementwise_projective_conjugate(r, r)
-    assert same and all(k == 0 for k in wit.values())
+    same, fibres = elementwise_projective_conjugate(r, r)
+    assert same and all(first == 0 for first, _ in fibres.values())
 
 
 @pytest.mark.parametrize("n", range(2, 13))
