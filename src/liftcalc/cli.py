@@ -215,13 +215,13 @@ def _parse_branch_target(to: str):
 def cmd_branch(args, fmt, seed):
     kind, c, d = _parse_branch_target(args.to)
     if kind == "pair":
-        rep = verify_spin_factorization(c, d, bound=args.bound)
+        rep = verify_spin_factorization(c, d)
         expected_from = f"so{c + d}"
     elif kind == "so":
-        rep = verify_spin_branching(c, d, bound=args.bound)
+        rep = verify_spin_branching(c, d)
         expected_from = f"so{c * d}"
     else:
-        rep = verify_spin_branching(c, 2 * d, variant="gl", bound=args.bound)
+        rep = verify_spin_branching(c, 2 * d, variant="gl")
         expected_from = f"so{2 * c * d}"
     if args.source and args.source != expected_from:
         raise InputError(f"target {args.to!r} lives inside {expected_from}, not {args.source!r}")
@@ -376,7 +376,6 @@ def build_parser():
     s = sub.add_parser("branch", parents=[common], help="verify a spin branching identity")
     s.add_argument("--from", dest="source", help="e.g. so9")
     s.add_argument("--to", required=True, help="so3^3 | gl2^2 | so2*so3")
-    s.add_argument("--bound", type=int, default=2 ** 20)
     s.set_defaults(func=cmd_branch)
 
     s = sub.add_parser("plethysm-check", parents=[common], help="exterior algebra identity")

@@ -394,6 +394,14 @@ def restrict_multiset(f: LatticeMap, W: WeightMultiset) -> WeightMultiset:
     return out
 
 
+def _require_spin_images(N: int, k: int):
+    """Refuse to restrict the spin of so_N along a map with k linearly
+    independent columns: their 2^k subset sums are distinct images."""
+    if k > MAX_SPIN_RANK:
+        raise BoundError(f"restricting the spin of so{N} needs at least 2^{k} "
+                         f"distinct weights, above the bound 2^{MAX_SPIN_RANK}")
+
+
 def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultiset:
     """Image of the (half-)spin multiset of so_N under f, without sign vectors.
 
@@ -417,16 +425,14 @@ def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultis
     limit = 2 ** MAX_SPIN_RANK
     if n > MAX_SPIN_RANK:
         # columns that each reach a row no earlier one touches are linearly
-        # independent, so their 2^k subset sums are distinct partial images
+        # independent
         touched, k = set(), 0
         for c in cols:
             support = {i for i, x in enumerate(c) if x}
             if not support <= touched:
                 touched |= support
                 k += 1
-        if k > MAX_SPIN_RANK:
-            raise BoundError(f"restricting the spin of so{N} needs at least 2^{k} "
-                             f"distinct weights, above the bound 2^{MAX_SPIN_RANK}")
+        _require_spin_images(N, k)
     # the spin of so_0 is the trivial weight, for every half
     flip = 1 if N % 2 == 0 and half != "both" and n else 0
     states = {(tuple(sum(r) // 2 for r in f.numer.entries), 0): 1}
@@ -499,24 +505,25 @@ def _spin_of_so(N: int, half: str = "both") -> WeightMultiset:
     return spin_weight_multiset(N // 2, "D", half)
 
 
-def verify_spin_branching(c: int, d: int, variant: str = "so",
-                          bound: int = 2 ** 20) -> BranchReport:
+def verify_spin_branching(c: int, d: int, variant: str = "so") -> BranchReport:
     """Restrict the (half-)spin of so_{cd} along a product of d copies of so_c.
 
     variant "so" checks the sign-vector decomposition (c even), the
     isotypic multiplicity 2^{d0-1} (c odd, d even), or 2^{d0} (both odd).
     variant "gl" checks the exterior-power decomposition along gl_c^{d/2}.
+    Each block embedding has d floor(c/2), or c d / 2 for gl, independent
+    columns, and more than ``MAX_SPIN_RANK`` of them raise ``BoundError``
+    before any multiset is built.
     """
     if c < 2 or d < 1:
         raise InputError("need c >= 2 and d >= 1")
     N = c * d
-    if 2 ** (N // 2) > bound:
-        raise BoundError(f"spin dimension 2^{N // 2} exceeds the bound {bound}")
     if variant == "gl":
         return _verify_gl_branching(c, d)
     if variant != "so":
         raise InputError(f"unknown variant {variant!r}")
 
+    _require_spin_images(N, d * (c // 2))
     emb = so_block_embedding([c] * d)
     r_c = c // 2
     if c % 2 == 0:
@@ -554,6 +561,7 @@ def _verify_gl_branching(c: int, d: int) -> BranchReport:
         raise InputError("the gl variant needs an even number of blocks")
     d0 = d // 2
     n_big = c * d0
+    _require_spin_images(2 * n_big, n_big)
     emb = gl_block_embedding(c, d0)
     lhs = _spin_restriction(emb, 2 * n_big, "plus")
     vend = WeightMultiset.from_doubled(
@@ -571,17 +579,17 @@ def _verify_gl_branching(c: int, d: int) -> BranchReport:
     return BranchReport(lhs.doubled == rhs.doubled, lhs.dimension, rhs.dimension, desc)
 
 
-def verify_spin_factorization(a: int, t: int, bound: int = 2 ** 20) -> BranchReport:
+def verify_spin_factorization(a: int, t: int) -> BranchReport:
     """Full spin of so_{a+t} restricted along so_a x so_t.
 
     Equals the box product of the full spins, doubled when both a and t
-    are odd.
+    are odd.  The embedding has floor(a/2) + floor(t/2) independent
+    columns, bounded as in ``verify_spin_branching``.
     """
     if a < 2 or t < 2:
         raise InputError("need block sizes >= 2")
     N = a + t
-    if 2 ** (N // 2 + 1) > bound:
-        raise BoundError("spin dimension exceeds the bound")
+    _require_spin_images(N, a // 2 + t // 2)
     emb = so_block_embedding([a, t])
     lhs = _spin_restriction(emb, N)
     rhs = _spin_of_so(a, "both").box_tensor(_spin_of_so(t, "both"))

@@ -108,8 +108,12 @@ def test_plethysm_bound_exit(capsys):
     (("classify-simple-types", "--max-rank", "1000000"), None),
     (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
     (("branch", "--to", "so4^10"), None),
-    (("branch", "--bound", "1000000000000000000", "--to", "so3^30"), None),
+    (("branch", "--to", "so3^30"), None),
     (("plethysm-check", "--g", "5"), None),
+    # the spin bound is read off the block sizes, before 2^(N/2) is formed
+    (("branch", "--to", "so2^4000000000"), None),
+    (("branch", "--to", "so2*so8000000000"), None),
+    (("branch", "--to", "gl2^2000000000"), None),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -175,11 +179,11 @@ def _fuzz_argv(rng, kind):
         return [kind, "--n", str(n), "--family", rng.choice("BD"),
                 "--half", rng.choice(("plus", "minus", "both"))]
     if kind == "branch":
-        # spin ranks on both sides of MAX_SPIN_RANK, sometimes past the default --bound
+        # spin ranks on both sides of MAX_SPIN_RANK, half of them as tables
         c, d = rng.randint(2, 6), rng.randint(1, 12)
         to = rng.choice((f"so{c}^{d}", f"gl{c}^{d}", f"so{c}*so{rng.randint(2, 40)}"))
-        huge = ["--bound", str(10 ** 18)] if rng.random() < 0.5 else []
-        return [kind, *huge, "--to", to]
+        table = ["--format", "table"] if rng.random() < 0.5 else []
+        return [kind, *table, "--to", to]
     # moduli stay where the scans are fast, or above the bound; most
     # multipliers are units, so that some pairs get a full report
     n = rng.choice((rng.randint(-3, 12), rng.randint(MAX_MODULUS + 1, 10 ** 6)))
@@ -258,13 +262,14 @@ def test_cli_fuzz(capsys):
 
 
 def test_help_exits_0(capsys):
-    for argv in (["--help"], ["spin-weights", "--help"], ["plethysm-check", "-h"]):
+    for argv in (["--help"], ["spin-weights", "--help"], ["plethysm-check", "-h"],
+                 ["branch", "--help"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: liftcalc")
-    assert "--bound" not in out
+        assert "--bound" not in out
 
 
 def test_branch_cli(capsys):

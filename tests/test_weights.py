@@ -328,6 +328,14 @@ def test_spin_branching_bound():
         verify_spin_branching(7, 7)
 
 
+@pytest.mark.parametrize("d,dim", [(14, 2 ** 20), (15, 2 ** 22)])
+def test_spin_branching_bound_counts_independent_columns(d, dim):
+    # so3^d has rank 21 or 22 but only d independent columns, within MAX_SPIN_RANK;
+    # the sides are the plus half-spin of so42 and the spin of so45
+    rep = verify_spin_branching(3, d)
+    assert rep.ok and rep.lhs_dim == rep.rhs_dim == dim
+
+
 def test_kuga_satake_g2_pullback_is_standard():
     ms = kuga_satake_spin_pullback(2)
     assert ms.doubled == sp_standard_multiset(2).doubled
