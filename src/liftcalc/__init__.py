@@ -30,7 +30,6 @@ _EXPORTS = {
         "half_sum_positive_roots",
         "simple_type",
         "validate",
-        "weyl_group",
     ),
     "cmdata": (
         "CMEmbeddingData",

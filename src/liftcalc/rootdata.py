@@ -1,4 +1,4 @@
-"""Based root data: validation, duality, Weyl groups, centers, central quotients.
+"""Based root data: validation, duality, root systems, centers, central quotients.
 
 Roots and coroots are stored as concrete integer vectors in Z^rank with
 the standard dot pairing.  Built-in simple types come in two flavors:
@@ -127,18 +127,6 @@ def dual(rd: BasedRootDatum) -> BasedRootDatum:
     return BasedRootDatum(rd.rank, rd.simple_coroots, rd.simple_roots, name)
 
 
-def reflection_matrix(rd: BasedRootDatum, root, coroot) -> IntMatrix:
-    """The reflection x -> x - <x, coroot> root as a matrix on X."""
-    n = rd.rank
-    return IntMatrix.from_rows(
-        [[(1 if a == b else 0) - root[a] * coroot[b] for b in range(n)] for a in range(n)])
-
-
-def simple_reflections(rd: BasedRootDatum) -> list:
-    return [reflection_matrix(rd, a, av)
-            for a, av in zip(rd.simple_roots, rd.simple_coroots)]
-
-
 def positive_roots(rd: BasedRootDatum) -> tuple:
     """Positive roots enumerated by reflection closure of the simple roots."""
     return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)[0]
@@ -195,44 +183,10 @@ def _root_coordinates(rd, vec):
     return solve_rational(A, vec, form)
 
 
-def in_root_lattice(rd: BasedRootDatum, vec) -> bool:
-    coeffs = _root_coordinates(rd, tuple(int(x) for x in vec))
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
-
-
 def half_sum_positive_roots(rd: BasedRootDatum) -> tuple:
     """rho-hat as a tuple of Fractions."""
     pos = positive_roots(rd)
     return tuple(Fraction(sum(b[i] for b in pos), 2) for i in range(rd.rank))
-
-
-@dataclass(frozen=True)
-class WeylGroup:
-    generators: tuple
-    order: int
-
-
-def weyl_group(rd: BasedRootDatum) -> WeylGroup:
-    """Simple reflections as integer matrices plus the group order.
-
-    The order is found by enumerating the orbit of the regular vector
-    2*rho-hat, whose stabilizer is trivial.
-    """
-    _require_valid(rd)
-    gens = simple_reflections(rd)
-    rho2 = tuple(int(2 * c) for c in half_sum_positive_roots(rd))
-    seen = {rho2}
-    frontier = [rho2]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                w = s.apply(v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return WeylGroup(tuple(gens), len(seen))
 
 
 def longest_element_is_minus_one(rd: BasedRootDatum) -> bool:
@@ -537,7 +491,6 @@ class CentralQuotientData:
         tor_z = tuple(cls_z[i] % m for i, m in enumerate(self.center.moduli))
         free_z = tuple(cls_z[len(self.center.moduli):])
         return tor_c == tor_z and tuple(free_c) == free_z
-
 
 def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotientData:
     """Normalize an embedding of Z_G into a split torus.

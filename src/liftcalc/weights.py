@@ -49,20 +49,6 @@ class WeightMultiset:
         return WeightMultiset(rank, tuple(sorted(acc.items())))
 
     @staticmethod
-    def from_weights(rank: int, weights) -> "WeightMultiset":
-        """Build from actual (possibly half-integral) weight vectors."""
-        items = []
-        for w in weights:
-            dw = []
-            for x in w:
-                d = 2 * Fraction(x)
-                if d.denominator != 1:
-                    raise InputError("weights must lie in half the integral lattice")
-                dw.append(int(d))
-            items.append((tuple(dw), 1))
-        return WeightMultiset.from_doubled(rank, items)
-
-    @staticmethod
     def trivial(rank: int) -> "WeightMultiset":
         return WeightMultiset.from_doubled(rank, [((0,) * rank, 1)])
 
@@ -350,7 +336,6 @@ class LatticeMap:
     source_rank: int
     target_rank: int
     numer: IntMatrix   # matrix of 2 * entries
-    denom: int = 2
 
     @staticmethod
     def from_rows(rows, source_rank=None) -> "LatticeMap":
@@ -660,18 +645,6 @@ def center_action_parity(g: int) -> str:
             raise AssertionError("pulled-back spin weights do not share a sign at -1")
         total += s // 2
     return "central_element_c" if total % 2 else "trivial"
-
-
-def center_action_parity_by_enumeration(g: int) -> set:
-    """Signs of every pulled-back spin weight at -1, by direct enumeration."""
-    ms = kuga_satake_spin_pullback(g)
-    signs = set()
-    for w, _ in ms.doubled:
-        s = sum(w)
-        if s % 2 != 0:
-            raise AssertionError("weight does not evaluate to a sign at -1")
-        signs.add((-1) ** ((s // 2) % 2))
-    return signs
 
 
 @dataclass(frozen=True)

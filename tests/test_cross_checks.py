@@ -3,6 +3,7 @@ import random
 from math import comb
 
 import pytest
+from test_rootdata import weyl_group
 
 from liftcalc.cmdata import CMEmbeddingData
 from liftcalc.intmat import FinAbGroup, InputError, IntMatrix
@@ -14,7 +15,6 @@ from liftcalc.rootdata import (
     minimal_torus_embed,
     simple_type,
     validate,
-    weyl_group,
 )
 from liftcalc.weights import restrict_multiset, _spin_of_so, _wedge2_weight_pairs
 from liftcalc.weights import kuga_satake_spin_pullback

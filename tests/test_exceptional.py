@@ -1,7 +1,8 @@
 """Pins on the exceptional-type tables via independent classical values."""
 import pytest
+from test_rootdata import weyl_group
 
-from liftcalc.rootdata import datum_by_name, positive_roots, weyl_group
+from liftcalc.rootdata import datum_by_name, positive_roots
 from liftcalc.weights import irrep_weight_multiset, weyl_dimension
 
 

@@ -1,7 +1,11 @@
+import ast
 import pkgutil
+import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import import_module
+from pathlib import Path
 
 import liftcalc
 
@@ -32,3 +36,38 @@ def test_no_module_level_cache_dicts():
         dicts = [name for name, value in vars(module).items()
                  if name.endswith("_CACHE") and isinstance(value, dict)]
         assert dicts == [], info.name
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (sub for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+
+def _mentions(tree):
+    """Names, attributes, imports and the words of string constants in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a name only tests call belongs in the tests; a mention outside its own
+    # definition, in code or in a docstring, counts as a use
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(liftcalc.__file__).parent.glob("*.py"))]
+    everywhere = Counter(m for tree in trees for m in _mentions(tree))
+    unused = [node.name for tree in trees for node in _public_definitions(tree)
+              if node.name not in liftcalc._LAYER_OF
+              and everywhere[node.name] == Counter(_mentions(node))[node.name]]
+    assert unused == []

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,20 +14,64 @@ from liftcalc.rootdata import (
     gl_datum,
     gm_embed,
     gsp_datum,
+    _root_coordinates,
     half_sum_positive_roots,
-    in_root_lattice,
     longest_element_is_minus_one,
     minimal_torus_embed,
     positive_coroots,
     positive_roots,
-    simple_reflections,
     simple_type,
     sp_datum,
     validate,
-    weyl_group,
 )
 
 SL2 = BasedRootDatum.make([[2]], [[1]], name="A1.sc")
+
+
+def reflection_matrix(rd, root, coroot):
+    """The reflection x -> x - <x, coroot> root as a matrix on X."""
+    n = rd.rank
+    return IntMatrix.from_rows(
+        [[(1 if a == b else 0) - root[a] * coroot[b] for b in range(n)] for a in range(n)])
+
+
+def simple_reflections(rd):
+    return [reflection_matrix(rd, a, av)
+            for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+
+
+@dataclass(frozen=True)
+class WeylGroup:
+    generators: tuple
+    order: int
+
+
+def weyl_group(rd):
+    """Simple reflections as integer matrices plus the group order.
+
+    The order is found by enumerating the orbit of the regular vector
+    2*rho-hat, whose stabilizer is trivial; an invalid datum raises
+    InputError when rho-hat is computed.
+    """
+    rho2 = tuple(int(2 * c) for c in half_sum_positive_roots(rd))
+    gens = simple_reflections(rd)
+    seen = {rho2}
+    frontier = [rho2]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in gens:
+                w = s.apply(v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return WeylGroup(tuple(gens), len(seen))
+
+
+def in_root_lattice(rd, vec):
+    coeffs = _root_coordinates(rd, tuple(int(x) for x in vec))
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 def test_validate_sl2():

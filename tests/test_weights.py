@@ -5,17 +5,15 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from test_rootdata import coroot_table_by_dual_walk
+from test_rootdata import coroot_table_by_dual_walk, simple_reflections, weyl_group
 
 from liftcalc.intmat import BoundError, InputError, IntMatrix
 from liftcalc.rootdata import (
     datum_by_name,
     half_sum_positive_roots,
     positive_roots,
-    simple_reflections,
     so_odd_datum,
     sp_datum,
-    weyl_group,
 )
 from liftcalc.weights import (
     MAX_PLETHYSM_G,
@@ -25,7 +23,6 @@ from liftcalc.weights import (
     _spin_of_so,
     _spin_restriction,
     center_action_parity,
-    center_action_parity_by_enumeration,
     gl_block_embedding,
     irrep_weight_multiset,
     kuga_satake_embedding,
@@ -41,6 +38,32 @@ from liftcalc.weights import (
 )
 
 
+def multiset_from_weights(rank, weights):
+    """A multiset with one slot per listed (possibly half-integral) weight vector."""
+    items = []
+    for w in weights:
+        dw = []
+        for x in w:
+            d = 2 * Fraction(x)
+            if d.denominator != 1:
+                raise InputError("weights must lie in half the integral lattice")
+            dw.append(int(d))
+        items.append((tuple(dw), 1))
+    return WeightMultiset.from_doubled(rank, items)
+
+
+def center_action_parity_by_enumeration(g):
+    """Signs of every pulled-back spin weight at -1, by direct enumeration."""
+    ms = kuga_satake_spin_pullback(g)
+    signs = set()
+    for w, _ in ms.doubled:
+        s = sum(w)
+        if s % 2 != 0:
+            raise AssertionError("weight does not evaluate to a sign at -1")
+        signs.add((-1) ** ((s // 2) % 2))
+    return signs
+
+
 def test_irrep_sp4_standard():
     ms = irrep_weight_multiset(sp_datum(2), (1, 0))
     assert ms.doubled == sp_standard_multiset(2).doubled
@@ -50,7 +73,7 @@ def test_irrep_sp4_five_dim():
     # the complement of the trivial representation in wedge^2(standard)
     ms = irrep_weight_multiset(sp_datum(2), (1, 1))
     assert ms.dimension == 5
-    expected = WeightMultiset.from_weights(
+    expected = multiset_from_weights(
         2, [(1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0)])
     assert ms.doubled == expected.doubled
 
