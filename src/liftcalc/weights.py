@@ -409,8 +409,7 @@ def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultis
     cols = f.numer.transpose().entries
     limit = 2 ** MAX_SPIN_RANK
     if n > MAX_SPIN_RANK:
-        # columns that each reach a row no earlier one touches are linearly
-        # independent
+        # columns that each reach a row no earlier one touches are independent
         touched, k = set(), 0
         for c in cols:
             support = {i for i, x in enumerate(c) if x}

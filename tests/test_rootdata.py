@@ -293,8 +293,8 @@ def test_cqd_extra_torus_directions():
 
 
 def test_cqd_lambda_lifts():
-    # one kernel generator d_1 w_1, so one dual functional; construction
-    # verified the exact sequence, and a second construction is the same
+    # Z/2 into one G_m: one kernel generator d_1 w_1; construction verified
+    # the exact sequence, and a second construction gives equal data
     rd = sp_datum(2)
     cqd = central_quotient_data(rd, gm_embed(rd))
     assert cqd.r == 1
