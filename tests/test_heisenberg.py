@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 from math import gcd
@@ -5,6 +6,7 @@ from math import gcd
 import pytest
 
 from liftcalc import heisenberg
+from liftcalc.cli import main
 from liftcalc.heisenberg import (
     MAX_MODULUS,
     CyclotomicRing,
@@ -432,3 +434,46 @@ def test_local_global_gap_larger_moduli(n):
             same, _ = elementwise_projective_conjugate(r1, r2)
             assert same
             assert globally_twist_equivalent(r1, r2) == (a == b)
+
+
+# Pinned sha256 digests of the Heisenberg reports and verdicts.  Each digest
+# hashes ``repr`` of every line, so a changed verdict, witness type or report
+# byte changes it.
+DEMO_DIGEST = "d8d424372da85ac4a401677d0759ae8bbf9a3357a8b8e0e617a091ecfe5aebc6"
+DECIDER_DIGEST = "138d0172d5595d5c0077cb4b21391fa817e37c8f830b999f19bd9f17ac287f66"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(map(repr, lines)).encode()).hexdigest()
+
+
+def test_demo_digest(capsys):
+    # every unit pair for n = 2..12, as json and as a table
+    lines = []
+    for n in range(2, 13):
+        for a in units(n):
+            for b in units(n):
+                for fmt in ("json", "table"):
+                    code = main(["heisenberg-demo", "--n", str(n), "--alpha", str(a),
+                                 "--beta", str(b), "--format", fmt])
+                    cap = capsys.readouterr()
+                    lines.append((code, cap.out, cap.err))
+    assert _digest(lines) == DEMO_DIGEST
+
+
+def test_decider_digest(monkeypatch):
+    # every alpha pair for n = 2..20, units or not, and every pair of
+    # determinants sign * zeta^e, e < n
+    lines = []
+    for n in range(2, 21):
+        reps = [rep_rho(n, a) if gcd(a, n) == 1 else AnyAlphaRep(n, a) for a in range(n)]
+        for r1 in reps:
+            for r2 in reps:
+                lines.append((n, r1.alpha, r2.alpha, globally_twist_equivalent(r1, r2)))
+        for r in reps:
+            with monkeypatch.context() as m:
+                m.setattr(heisenberg, "rep_rho", lambda n, alpha, r=r: r)
+                lines.append((n, r.alpha, rep_determinant_matches_closed_form(n, r.alpha)))
+        dets = [(sign, e) for sign in (1, -1) for e in range(n)]
+        lines.append((n, [heisenberg._dets_equal(n, d1, d2) for d1 in dets for d2 in dets]))
+    assert _digest(lines) == DECIDER_DIGEST
