@@ -1,7 +1,8 @@
 import hashlib
 import random
+from functools import cache
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -9,10 +10,8 @@ from liftcalc import heisenberg
 from liftcalc.cli import main
 from liftcalc.heisenberg import (
     MAX_MODULUS,
-    CyclotomicRing,
     Monomial,
     MonomialRep,
-    cyclotomic_polynomial,
     determinant_closed_form,
     elementwise_projective_conjugate,
     globally_twist_equivalent,
@@ -28,6 +27,157 @@ def units(n):
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
+# ---------------------------------------------------------------------------
+# Z[zeta_n] and characters by traces: the oracle of the closed forms
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        coef = num[i + len(den) - 1]
+        if coef % den[-1] != 0:
+            raise AssertionError("non-monic cyclotomic division")
+        coef //= den[-1]
+        out[i] = coef
+        for j, d in enumerate(den):
+            num[i + j] -= coef * d
+    if any(x != 0 for x in num):
+        raise AssertionError("cyclotomic division left a remainder")
+    return out
+
+
+@cache
+def cyclotomic_polynomial(n: int) -> tuple:
+    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    poly = [-1] + [0] * (n - 1) + [1]   # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
+    return tuple(poly)
+
+
+class CyclotomicRing:
+    """Z[zeta_n] with elements as coefficient tuples modulo Phi_n."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.phi = cyclotomic_polynomial(n)
+        self.degree = len(self.phi) - 1
+        # reduction table for x^k, k < 2 * degree + n
+        self._pow = []
+        for k in range(2 * self.degree + n):
+            if k < self.degree:
+                vec = [0] * self.degree
+                vec[k] = 1
+            else:
+                prev = list(self._pow[k - 1])
+                vec = [0] + prev[:-1]
+                top = prev[-1]
+                if top:
+                    for i in range(self.degree):
+                        vec[i] -= top * self.phi[i]
+            self._pow.append(tuple(vec))
+        # zeta^{-i} for each basis power zeta^i: conj is linear in them
+        self._conj = [self._pow[(-i) % n] for i in range(self.degree)]
+
+    def zero(self):
+        return (0,) * self.degree
+
+    def one(self):
+        return self.zeta_power(0)
+
+    def zeta_power(self, k: int):
+        return self._pow[k % self.n]
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def scale(self, c: int, a):
+        return tuple(c * x for x in a)
+
+    def mul(self, a, b):
+        out = [0] * self.degree
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                if y == 0:
+                    continue
+                for t, c in enumerate(self._pow[i + j]):
+                    out[t] += x * y * c
+        return tuple(out)
+
+    def conj(self, a):
+        """The automorphism zeta -> zeta^{-1}."""
+        out = [0] * self.degree
+        for x, image in zip(a, self._conj):
+            if x:
+                for t, c in enumerate(image):
+                    out[t] += x * c
+        return tuple(out)
+
+    def is_zero(self, a) -> bool:
+        return all(x == 0 for x in a)
+
+
+def character(r, g, ring):
+    """The trace of rho(g): zeta^e summed over the fixed points of its permutation."""
+    m = r.rho(g)
+    out = ring.zero()
+    for j in range(m.n):
+        if m.perm[j] == j:
+            out = ring.add(out, ring.zeta_power(m.exps[j]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# group elements and monomial matrices, entry by entry
+
+
+def elements(G):
+    n = G.n
+    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+
+
+def matrix(m):
+    """Entries as {None} union Z/n: exponent of zeta, or None for zero."""
+    out = [[None] * m.n for _ in range(m.n)]
+    for j in range(m.n):
+        out[m.perm[j]][j] = m.exps[j]
+    return out
+
+
+def eigenvalue_multiset(m):
+    """Eigenvalues as exponents in a common root-of-unity group.
+
+    Each permutation cycle of length L with entry-exponent sum s
+    contributes the L roots of x^L = zeta^s; all eigenvalues are
+    expressed in mu_{n * M} for M the lcm of the cycle lengths.
+    """
+    cycles = []
+    seen = [False] * m.n
+    for j in range(m.n):
+        if seen[j]:
+            continue
+        length, s = 0, 0
+        k = j
+        while not seen[k]:
+            seen[k] = True
+            s += m.exps[k]
+            k = m.perm[k]
+            length += 1
+        cycles.append((length, s % m.n))
+    M = lcm(*[c[0] for c in cycles]) if cycles else 1
+    modulus = m.n * M
+    eig = {}
+    for L, s in cycles:
+        for j in range(L):
+            e = ((s + m.n * j) * (M // L)) % modulus
+            eig[e] = eig.get(e, 0) + 1
+    return modulus, tuple(sorted(eig.items()))
+
+
 def conj_by_powers(ring, x):
     """sum_i x_i zeta^{-i}, built from zeta_power alone."""
     out = ring.zero()
@@ -40,11 +190,10 @@ def twist_equivalent_by_full_scan(r1, r2):
     """<chi_{r1}, chi * chi_{r2}> = |H_n| for some chi, summed over every element."""
     n = r1.n
     ring = CyclotomicRing(n)
-    G = heisenberg_group(n)
-    els = G.elements()
-    chars1 = {g: r1.character(g, ring) for g in els}
-    chars2 = {g: r2.character(g, ring) for g in els}
-    order_vec = ring.scale(G.order, ring.one())
+    els = elements(heisenberg_group(n))
+    chars1 = {g: character(r1, g, ring) for g in els}
+    chars2 = {g: character(r2, g, ring) for g in els}
+    order_vec = ring.scale(len(els), ring.one())
     for u in range(n):
         for v in range(n):
             total = ring.zero()
@@ -61,12 +210,12 @@ def twist_equivalent_by_full_scan(r1, r2):
 def elementwise_by_full_scan(r1, r2):
     """The least matching scalar shift at each of the n^3 elements, scanned one by one."""
     witnesses = {}
-    for g in heisenberg_group(r1.n).elements():
-        e1 = r1.rho(g).eigenvalue_multiset()
+    for g in elements(heisenberg_group(r1.n)):
+        e1 = eigenvalue_multiset(r1.rho(g))
         m2 = r2.rho(g)
         found = None
         for k in range(r1.n):
-            if m2.scale(k).eigenvalue_multiset() == e1:
+            if eigenvalue_multiset(m2.scale(k)) == e1:
                 found = k
                 break
         if found is None:
@@ -86,12 +235,12 @@ def character_norm_is_one(r):
     """Irreducibility via the exact character norm."""
     n = r.n
     ring = CyclotomicRing(n)
-    G = heisenberg_group(n)
+    els = elements(heisenberg_group(n))
     total = ring.zero()
-    for g in G.elements():
-        ch = r.character(g, ring)
+    for g in els:
+        ch = character(r, g, ring)
         total = ring.add(total, ring.mul(ch, ring.conj(ch)))
-    return total == ring.scale(G.order, ring.one())
+    return total == ring.scale(len(els), ring.one())
 
 
 def projective_centralizer_monomial(r):
@@ -133,13 +282,13 @@ def commutator(G, g, h):
 
 def center_by_scan(G):
     """Elements commuting with every element, by comparing all n^6 products."""
-    els = G.elements()
+    els = elements(G)
     return [z for z in els if all(G.mul(z, g) == G.mul(g, z) for g in els)]
 
 
 def conjugacy_classes_by_scan(G):
     """Conjugacy classes as sorted tuples, each orbit found by conjugating with every element."""
-    els = G.elements()
+    els = elements(G)
     seen = set()
     classes = []
     for g in els:
@@ -192,7 +341,7 @@ def test_conj_matches_powers(n):
 
 def test_group_order_and_center():
     G = heisenberg_group(3)
-    assert G.order == 27
+    assert len(elements(G)) == 27
     center = center_by_scan(G)
     assert len(center) == 3
     assert all(z[0] == 0 and z[1] == 0 for z in center)
@@ -200,7 +349,7 @@ def test_group_order_and_center():
 
 def test_group_n2_is_dihedral():
     G = heisenberg_group(2)
-    assert G.order == 8
+    assert len(elements(G)) == 8
     sizes = sorted(len(c) for c in conjugacy_classes_by_scan(G))
     assert sizes == [1, 1, 2, 2, 2]
 
@@ -221,7 +370,7 @@ def test_rep_is_homomorphism():
         for alpha in units(n):
             r = rep_rho(n, alpha)
             G = heisenberg_group(n)
-            els = G.elements()
+            els = elements(G)
             for g in els[:: max(1, len(els) // 20)]:
                 for h in els[:: max(1, len(els) // 20)]:
                     assert r.rho(g).mul(r.rho(h)) == r.rho(G.mul(g, h))
@@ -323,13 +472,19 @@ def test_character_is_trace(n):
     ring = CyclotomicRing(n)
     for alpha in units(n):
         r = rep_rho(n, alpha)
-        for g in heisenberg_group(n).elements():
-            m = r.rho(g).matrix()
+        for g in elements(heisenberg_group(n)):
+            m = matrix(r.rho(g))
             trace = ring.zero()
             for j in range(n):
                 if m[j][j] is not None:
                     trace = ring.add(trace, ring.zeta_power(m[j][j]))
-            assert r.character(g, ring) == trace
+            assert character(r, g, ring) == trace
+            # the closed form globally_twist_equivalent rests on
+            a, b, c = g
+            if a == 0 and alpha * b % n == 0:
+                assert trace == ring.scale(n, ring.zeta_power(alpha * c))
+            else:
+                assert ring.is_zero(trace)
 
 
 def test_modulus_bound(monkeypatch):
@@ -337,7 +492,6 @@ def test_modulus_bound(monkeypatch):
         raise AssertionError("scan started above the modulus bound")
 
     monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
-    monkeypatch.setattr(heisenberg, "CyclotomicRing", no_scan)
     n = MAX_MODULUS + 1
     r1, r2 = rep_rho(n, 1), rep_rho(n, units(n)[1])
     with pytest.raises(BoundError):
@@ -353,7 +507,6 @@ def test_deciders_work_per_fibre(monkeypatch):
         raise AssertionError("fell back to a scan of the group")
 
     monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
-    monkeypatch.setattr(Monomial, "eigenvalue_multiset", no_scan)
     for n, a, b in ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30)):
         r1, r2 = rep_rho(n, a), rep_rho(n, b)
         same, fibres = elementwise_projective_conjugate(r1, r2)
@@ -415,7 +568,7 @@ def test_projective_centralizer(n):
     assert len(a_powers) == n and a_powers <= got
     # and the centralizer is exactly the image of the group
     G = heisenberg_group(n)
-    image = {norm(r.rho(g)) for g in G.elements()}
+    image = {norm(r.rho(g)) for g in elements(G)}
     assert image == got
 
 
