@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 
 class InputError(ValueError):
@@ -45,16 +45,6 @@ class IntMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def diagonal(diag, rows=None, cols=None) -> "IntMatrix":
-        diag = [int(d) for d in diag]
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        ent = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            ent[i][i] = d
-        return IntMatrix.from_rows(ent)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -295,38 +285,9 @@ class FinAbGroup:
         if self.free_rank < 0:
             raise InputError("negative free rank")
 
-    @staticmethod
-    def from_orders(orders, free_rank=0) -> "FinAbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 means a Z factor)."""
-        tors = [int(d) for d in orders if int(d) not in (0, 1)]
-        free = free_rank + sum(1 for d in orders if int(d) == 0)
-        # repeated gcd/lcm passes sort the orders into a divisibility chain
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tors)):
-                for j in range(i + 1, len(tors)):
-                    a, b = tors[i], tors[j]
-                    if b % a != 0:
-                        g = gcd(a, b)
-                        tors[i], tors[j] = g, a * b // g
-                        changed = True
-            tors = [d for d in tors if d != 1]
-        return FinAbGroup(tuple(sorted(tors)), free)
-
-    @staticmethod
-    def trivial() -> "FinAbGroup":
-        return FinAbGroup((), 0)
-
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors and self.free_rank == 0
-
-    def order(self):
-        """Group order; None for infinite groups."""
-        if self.free_rank:
-            return None
-        return prod(self.invariant_factors) if self.invariant_factors else 1
 
     def torsion_part(self) -> "FinAbGroup":
         return FinAbGroup(self.invariant_factors, 0)
@@ -335,11 +296,6 @@ class FinAbGroup:
         """The subgroup of elements of order dividing 2."""
         facs = tuple(2 for d in self.invariant_factors if d % 2 == 0)
         return FinAbGroup(facs, 0)
-
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        return FinAbGroup.from_orders(
-            list(self.invariant_factors) + list(other.invariant_factors),
-            self.free_rank + other.free_rank)
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank

@@ -48,20 +48,9 @@ class WeightMultiset:
             acc[w] = acc.get(w, 0) + m
         return WeightMultiset(rank, tuple(sorted(acc.items())))
 
-    @staticmethod
-    def trivial(rank: int) -> "WeightMultiset":
-        return WeightMultiset.from_doubled(rank, [((0,) * rank, 1)])
-
     @property
     def dimension(self) -> int:
         return sum(m for _, m in self.doubled)
-
-    def multiplicity(self, weight) -> int:
-        dw = tuple(int(2 * Fraction(x)) for x in weight)
-        for w, m in self.doubled:
-            if w == dw:
-                return m
-        return 0
 
     def weights(self):
         """Pairs (weight as tuple of Fractions, multiplicity)."""
@@ -349,11 +338,6 @@ class LatticeMap:
         else:
             numer = IntMatrix.zero(0, source)
         return LatticeMap(source, target, numer)
-
-    @staticmethod
-    def identity(n: int) -> "LatticeMap":
-        return LatticeMap(n, n, IntMatrix.from_rows(
-            [[2 if i == j else 0 for j in range(n)] for i in range(n)]))
 
     def apply_doubled(self, w2):
         out = self.numer.apply(w2)

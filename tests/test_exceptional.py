@@ -6,6 +6,11 @@ from liftcalc.rootdata import datum_by_name, positive_roots
 from liftcalc.weights import irrep_weight_multiset, weyl_dimension
 
 
+def multiplicity(ms, weight):
+    """The multiplicity of a weight, 0 when it is absent."""
+    return dict(ms.weights()).get(tuple(weight), 0)
+
+
 @pytest.mark.parametrize("name,count", [
     ("A3.sc", 6), ("B3.adjoint", 9), ("C4.sc", 16), ("D4.sc", 12),
     ("G2.sc", 6), ("F4.sc", 24), ("E6.sc", 36), ("E7.sc", 63), ("E8.sc", 120),
@@ -32,7 +37,7 @@ def test_g2_adjoint_multiset():
     rd = datum_by_name("G2.sc")
     ms = irrep_weight_multiset(rd, (0, 1))
     assert ms.dimension == 14
-    assert ms.multiplicity((0, 0)) == 2
+    assert multiplicity(ms, (0, 0)) == 2
     nonzero = [w for w, m in ms.doubled if any(w)]
     assert len(nonzero) == 12 and all(dict(ms.doubled)[w] == 1 for w in nonzero)
 
