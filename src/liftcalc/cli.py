@@ -21,7 +21,7 @@ from .heisenberg import (
     rep_determinant,
     rep_rho,
 )
-from .intmat import BoundError, InputError, IntMatrix, torus_lift
+from .intmat import BoundError, InputError, IntMatrix, json_number, torus_lift
 from .lifting import (
     HodgeFamily,
     ParameterPair,
@@ -99,7 +99,7 @@ def cmd_lift_check(args, fmt, seed):
     payload = _load_json(args.hodge)
     with _payload("lift-check"):
         data = CMEmbeddingData.from_json(payload["cm"])
-        h = HodgeFamily.make(data, {l: tuple(int(x) for x in v)
+        h = HodgeFamily.make(data, {l: tuple(json_number(x) for x in v)
                                     for l, v in payload["mu"].items()})
     mode = "totally_real" if args.mode == "totally-real" else "imaginary"
     rep = geometric_lift_exists(cqd, h, mode)
@@ -116,8 +116,8 @@ def cmd_param_lift(args, fmt, seed):
     pairs = {}
     with _payload("param-lift"):
         for label, pv in payload["pairs"].items():
-            mu = [Fraction(str(x)) for x in pv["mu"]]
-            nu = [Fraction(str(x)) for x in pv["nu"]]
+            mu = [json_number(x, Fraction) for x in pv["mu"]]
+            nu = [json_number(x, Fraction) for x in pv["nu"]]
             pairs[label] = ParameterPair.make(mu, nu)
     recipe = "cm_typeA" if args.recipe == "cm-typeA" else "finite_order"
     rep = lift_archimedean_parameter(cqd, pairs, recipe,
@@ -144,7 +144,7 @@ def cmd_torus_lift(args, fmt, seed):
     payload = _load_json(args.input)
     with _payload("torus-lift"):
         Q = IntMatrix.from_json(payload["quotient"])
-        lam = tuple(int(x) for x in payload["cocharacter"])
+        lam = tuple(json_number(x) for x in payload["cocharacter"])
     lift = torus_lift(Q, lam)
     out = {
         "check": "torus-cocharacter-lift",
@@ -160,7 +160,7 @@ def cmd_hecke(args, fmt, seed):
     payload = _load_json(args.input)
     with _payload("hecke-feasible"):
         data = CMEmbeddingData.from_json(payload["cm"])
-        n, m = int(payload["n"]), {l: int(v) for l, v in payload["m"].items()}
+        n, m = json_number(payload["n"]), {l: json_number(v) for l, v in payload["m"].items()}
         grunwald_wang = bool(payload.get("grunwald_wang", False))
     res = hecke_extension_feasible(data, n, m, grunwald_wang)
     out = {"check": "hecke-extension", "seed": seed,
@@ -174,7 +174,7 @@ def cmd_galchar(args, fmt, seed):
     payload = _load_json(args.input)
     with _payload("galois-char-feasible"):
         data = CMEmbeddingData.from_json(payload["cm"])
-        n, k = int(payload["n"]), {l: int(v) for l, v in payload["k"].items()}
+        n, k = json_number(payload["n"]), {l: json_number(v) for l, v in payload["k"].items()}
     res = galois_char_feasible(data, n, k)
     out = {"check": "fractional-weight-character", "seed": seed,
            "feasible": res is not None}

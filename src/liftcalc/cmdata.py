@@ -54,11 +54,18 @@ class CMEmbeddingData:
     @staticmethod
     def from_json(data) -> "CMEmbeddingData":
         try:
-            return CMEmbeddingData.make(
+            out = CMEmbeddingData.make(
                 data["labels"], data["conj"], data["cm_labels"],
                 data["restrict"], data["cm_conj"], data["mode"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad embedding data payload: {exc}") from exc
+        # validate_cm hashes and compares labels, so each must be a string
+        names = [*out.labels, *out.cm_labels, out.mode]
+        for d in (out.conj, out.restrict, out.cm_conj):
+            names += [*d, *d.values()]
+        if any(type(x) is not str for x in names):
+            raise InputError("bad embedding data payload: labels and mode must be strings")
+        return out
 
     def to_json(self):
         return {

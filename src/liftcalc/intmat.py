@@ -22,6 +22,17 @@ class BoundError(ValueError):
     """A requested computation exceeds its configured feasibility bound."""
 
 
+def json_number(x, parse=int):
+    """parse(x) for a JSON integer or string; TypeError for any other value.
+
+    A JSON float is refused rather than truncated or rounded: int(1.5) is
+    1, Fraction(0.1) is the binary value nearest 0.1, and 1e400 is inf.
+    """
+    if type(x) not in (int, str):
+        raise TypeError(f"expected an integer or a string, not {type(x).__name__}")
+    return parse(x)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix stored row-major."""
@@ -125,7 +136,7 @@ class IntMatrix:
     @staticmethod
     def from_json(data) -> "IntMatrix":
         try:
-            return IntMatrix.from_rows([[int(x) for x in r] for r in data])
+            return IntMatrix.from_rows([[json_number(x) for x in r] for r in data])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad matrix payload: {exc}") from exc
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .intmat import BoundError, InputError
+from .intmat import BoundError, InputError, json_number
 
 # Trial division gives up with BoundError once the divisor passes this
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
@@ -71,7 +71,7 @@ class QForm:
 
         def entry(x):
             if type(x) is not str:
-                return Fraction(x)
+                return json_number(x, Fraction)
             f = parsed.get(x)
             if f is None:
                 f = parsed[x] = Fraction(x)

@@ -228,11 +228,120 @@ def _invalid_choice_argv(rng):
     ))
 
 
+def _fuzz_number(rng):
+    """Mostly a small integer, as a number or a string; sometimes a float or junk."""
+    return rng.choice((
+        rng.randint(-9, 9), rng.randint(-9, 9), str(rng.randint(-9, 9)),
+        f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}",
+        rng.choice((1.5, 0.1, 2.0, -0.0, 1e300, float("inf"), float("nan"))),
+        rng.choice(("x", "", "1/0", None, True, [1], {"a": 1})),
+    ))
+
+
+def _fuzz_matrix(rng, rows, cols):
+    """A rows x cols matrix of _fuzz_number entries, now and then with a short row."""
+    m = [[_fuzz_number(rng) if rng.random() < 0.05 else rng.randint(-9, 9)
+          for _ in range(cols)] for _ in range(rows)]
+    if m and rng.random() < 0.1:
+        m[rng.randrange(rows)].pop()
+    return m
+
+
+def _fuzz_cm(rng):
+    """Embedding data of one to three labels: valid, a wrong mode or a non-string label."""
+    k = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        labels = [f"v{i}" for i in range(k)]
+        conj = {l: l for l in labels}
+        cm = {"labels": labels, "conj": conj, "cm_labels": labels,
+              "restrict": dict(conj), "cm_conj": dict(conj), "mode": "totally_real"}
+    else:
+        labels = [x for i in range(k) for x in (f"s{i}", f"s{i}c")]
+        conj = {l: l[:-1] if l.endswith("c") else l + "c" for l in labels}
+        cm = {"labels": labels, "conj": conj, "cm_labels": labels,
+              "restrict": {l: l for l in labels}, "cm_conj": dict(conj), "mode": "cm"}
+    spoil = rng.random()
+    if spoil < 0.1:
+        cm["mode"] = rng.choice(("general_imaginary", "x", 3))
+    elif spoil < 0.2:
+        cm["labels"] = [*labels[:-1], rng.choice(([labels[-1]], 7, None))]
+    return cm
+
+
+def _fuzz_classes(rng, cm):
+    """A class at each label, now and then one missing or one at a stray label."""
+    classes = {l: _fuzz_number(rng) if rng.random() < 0.05 else rng.randint(-9, 9)
+               for l in cm["labels"] if isinstance(l, str)}
+    if rng.random() < 0.6:
+        # opposite classes at conjugate labels, as type A extensions need
+        for l, c in cm["conj"].items():
+            if l < c and type(classes.get(l)) is int:
+                classes[c] = -classes[l]
+    if rng.random() < 0.1:
+        classes["zz"] = 1
+    elif classes and rng.random() < 0.1:
+        classes.pop(next(iter(classes)))
+    return classes
+
+
+def _fuzz_payload_argv(rng, kind, path):
+    """Argv and a payload for one of the JSON subcommands, drawn by size."""
+    if kind == "torus-lift":
+        rows = rng.randint(0, 5)
+        payload = {"quotient": _fuzz_matrix(rng, rows, rows + rng.randint(0, 2)),
+                   "cocharacter": [_fuzz_number(rng) if rng.random() < 0.05 else rng.randint(-9, 9)
+                                   for _ in range(rows + (rng.random() < 0.1))]}
+        argv = [kind]
+    elif kind in ("qform-invariants", "clifford-split"):
+        n = rng.randint(0, 7)
+        if kind == "clifford-split" and rng.random() < 0.8:
+            n |= 1   # the even Clifford test takes odd rank
+        gram = _fuzz_matrix(rng, n, n)
+        if rng.random() < 0.8:
+            # symmetric, unless a short row was drawn
+            gram = [[gram[min(i, j)][max(i, j)] if max(i, j) < len(gram[min(i, j)]) else 0
+                     for j in range(n)] for i in range(n)]
+        payload = gram
+        argv = [kind] if kind == "qform-invariants" else [kind, "--gram"]
+    elif kind == "lift-check":
+        cm = _fuzz_cm(rng)
+        group, rank = rng.choice((("C2.sc", 2), ("A1.sc", 1), ("GSp4", 3)))
+        rank += rng.random() < 0.1
+        payload = {"cm": cm, "mu": {l: [_fuzz_number(rng) if rng.random() < 0.05
+                                        else rng.randint(-4, 4) for _ in range(rank)]
+                                    for l in cm["labels"] if isinstance(l, str)}}
+        argv = [kind, "--group", group, "--tilde", "gm",
+                "--mode", "totally-real" if cm["mode"] == "totally_real" else "imaginary",
+                "--hodge"]
+    elif kind == "param-lift":
+        pairs = {}
+        for i in range(rng.randint(0, 3)):
+            # mostly tempered, nu = -mu
+            a = rng.randint(-5, 5)
+            mu = _fuzz_number(rng) if rng.random() < 0.2 else f"{a}/2"
+            nu = rng.choice((f"{-a}/2", f"{-a}/2", f"{rng.randint(-5, 5)}/2"))
+            pairs[f"v{i}"] = {"mu": [mu], "nu": [nu]}
+        payload = {"pairs": pairs}
+        argv = [kind, "--group", "A1.sc", "--tilde", "gm",
+                "--recipe", rng.choice(("finite-order", "cm-typeA"))]
+    else:
+        cm = _fuzz_cm(rng)
+        n = rng.choice((_fuzz_number(rng), rng.randint(-2, 0), rng.randint(1, 8),
+                        rng.randint(1, 8), rng.randint(1, 8)))
+        key = "m" if kind == "hecke-feasible" else "k"
+        payload = {"cm": cm, "n": n, key: _fuzz_classes(rng, cm)}
+        argv = [kind]
+    path.write_text(json.dumps(payload))
+    return [*argv, str(path)]
+
+
 _FUZZ_KINDS = (("verify-paper", "classify-simple-types", "heisenberg-demo"),
                ("branch", "spin-weights"))
+_JSON_KINDS = ("lift-check", "param-lift", "torus-lift", "hecke-feasible",
+               "galois-char-feasible", "qform-invariants", "clifford-split")
 
 
-def test_cli_fuzz(capsys):
+def test_cli_fuzz(tmp_path, capsys):
     rng = random.Random(20121)
     cases = []
     for case in range(90):
@@ -244,6 +353,10 @@ def test_cli_fuzz(capsys):
     # highest weights for dim come last, from a seed of their own
     rng = random.Random(20123)
     cases += [_fuzz_dim_argv(rng) for _ in range(40)]
+    # payloads for the JSON subcommands come after those, from a seed of their own
+    rng = random.Random(20124)
+    cases += [_fuzz_payload_argv(rng, _JSON_KINDS[i % len(_JSON_KINDS)], tmp_path / f"p{i}.json")
+              for i in range(140)]
     codes = []
     for argv in cases:
         start = time.perf_counter()
@@ -258,7 +371,8 @@ def test_cli_fuzz(capsys):
         codes.append(code)
     assert {0, 2, 3} <= set(codes[:90])
     assert codes[90:120].count(2) >= 25
-    assert {0, 2} == set(codes[120:])
+    assert {0, 2} == set(codes[120:160])
+    assert {0, 1, 2} <= set(codes[160:])
 
 
 def test_help_exits_0(capsys):
@@ -419,6 +533,39 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+_CM_LISTED = dict(_CM_PAIR, labels=[["a"]])
+
+
+# raw JSON texts, since json.dumps cannot write 1e400 or NaN as they stand
+@pytest.mark.parametrize("argv,text", [
+    (("qform-invariants",), '[[1e400]]'),
+    (("clifford-split", "--gram"), '[[1e400]]'),
+    (("torus-lift",), '{"quotient": [[1e400]], "cocharacter": [1]}'),
+    (("torus-lift",), '{"quotient": [[1.5, 2]], "cocharacter": [1]}'),
+    (("qform-invariants",), '[[0.1]]'),
+    (("hecke-feasible",), json.dumps({"cm": _CM_LISTED, "n": 4, "m": {"s0": 1, "s0c": 3}})),
+    (("galois-char-feasible",), json.dumps({"cm": _CM_LISTED, "n": 2, "k": {"s0": 1, "s0c": 0}})),
+    (("torus-lift",), '{"quotient": [[2, 3]], "cocharacter": [1.5]}'),
+    (("torus-lift",), '{"quotient": [[true, 3]], "cocharacter": [1]}'),
+    (("hecke-feasible",), json.dumps({"cm": _CM_PAIR, "n": 4.0, "m": {"s0": 1, "s0c": 3}})),
+    (("hecke-feasible",), json.dumps({"cm": _CM_PAIR, "n": 4, "m": {"s0": 1.5, "s0c": 3}})),
+    (("galois-char-feasible",), json.dumps({"cm": _CM_PAIR, "n": 2.5, "k": {"s0": 1, "s0c": 0}})),
+    (("galois-char-feasible",), json.dumps({"cm": _CM_PAIR, "n": 2, "k": {"s0": 1, "s0c": 0.0}})),
+    (_LIFT, json.dumps({"cm": _CM_REAL, "mu": {"v0": [1.5, 0]}})),
+    (_PARAM, json.dumps({"pairs": {"v1": {"mu": [0.5], "nu": ["-1/2"]}}})),
+    (("qform-invariants",), '[[NaN]]'),
+])
+def test_json_numbers_other_than_integers_exit_2(tmp_path, capsys, argv, text):
+    # a float is refused, never truncated, rounded or read as its binary value
+    path = tmp_path / "payload.json"
+    path.write_text(text)
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_verify_single_check(capsys):
