@@ -114,6 +114,16 @@ def test_plethysm_bound_exit(capsys):
     (("branch", "--to", "so2^4000000000"), None),
     (("branch", "--to", "so2*so8000000000"), None),
     (("branch", "--to", "gl2^2000000000"), None),
+    # a datum name is refused on its semisimple rank, before anything is built
+    (("dim", "--group", "GL30", "--weight", "0"), None),
+    (("dim", "--group", "A18.sc", "--weight", "1"), None),
+    (("dim", "--group", "A16.sc", "--weight", "1"), None),
+    (("dim", "--group", "GL1000000000", "--weight", "0"), None),
+    (("dim", "--group", "SO31", "--weight", "0"), None),
+    (("dim", "--group", "GSp32", "--weight", "0"), None),
+    (("dim", "--group", "C1000000000.adjoint", "--weight", "0"), None),
+    (("lift-check", "--group", "A16.sc", "--mode", "totally-real", "--hodge"), {}),
+    (("param-lift", "--group", "D16.sc", "--recipe", "finite-order"), {}),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:

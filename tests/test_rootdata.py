@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from liftcalc.intmat import FinAbGroup, InputError, IntMatrix
+from liftcalc import rootdata
+from liftcalc.intmat import BoundError, FinAbGroup, InputError, IntMatrix
 from liftcalc.rootdata import (
+    MAX_DATUM_RANK,
     BasedRootDatum,
     central_quotient_data,
     center_characters,
@@ -363,3 +365,19 @@ def test_positive_coroots_match_dual_walk(name):
 def test_positive_coroots_of_a_torus():
     rd = gl_datum(1)
     assert positive_roots(rd) == positive_coroots(rd) == ()
+
+
+@pytest.mark.parametrize("name,rank", [
+    ("A{}.sc", MAX_DATUM_RANK), ("C{}.adjoint", MAX_DATUM_RANK),
+    ("GL{}", MAX_DATUM_RANK + 1), ("GSp{}", 2 * MAX_DATUM_RANK), ("SO{}", 2 * MAX_DATUM_RANK + 1),
+])
+def test_datum_name_rank_bound(monkeypatch, name, rank):
+    # the semisimple rank is read off the name before any builder runs
+    built = []
+    for builder in ("gl_datum", "gsp_datum", "so_odd_datum", "simple_type"):
+        monkeypatch.setattr(rootdata, builder, lambda *args, b=builder: built.append(b))
+    datum_by_name(name.format(rank))
+    assert len(built) == 1
+    with pytest.raises(BoundError, match="exceeds the bound"):
+        datum_by_name(name.format(rank + (2 if name.startswith(("GSp", "SO")) else 1)))
+    assert len(built) == 1
