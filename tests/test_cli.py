@@ -534,48 +534,34 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
     (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1}}),
     (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3, "zz": 1}}),
     (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1, "s0c": 0, "zz": 1}}),
+    # a JSON number other than an integer is refused, never truncated, rounded
+    # or read as its binary value; a string payload is the file's raw text
+    (("qform-invariants",), "[[1e400]]"),
+    (("clifford-split", "--gram"), "[[1e400]]"),
+    (("torus-lift",), '{"quotient": [[1e400]], "cocharacter": [1]}'),
+    (("torus-lift",), '{"quotient": [[1.5, 2]], "cocharacter": [1]}'),
+    (("qform-invariants",), "[[0.1]]"),
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, labels=[["a"]]), "n": 4, "m": {"s0": 1, "s0c": 3}}),
+    (("galois-char-feasible",), {"cm": dict(_CM_PAIR, labels=[["a"]]), "n": 2,
+                                 "k": {"s0": 1, "s0c": 0}}),
+    (("torus-lift",), {"quotient": [[2, 3]], "cocharacter": [1.5]}),
+    (("torus-lift",), {"quotient": [[True, 3]], "cocharacter": [1]}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4.0, "m": {"s0": 1, "s0c": 3}}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1.5, "s0c": 3}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2.5, "k": {"s0": 1, "s0c": 0}}),
+    (("galois-char-feasible",), {"cm": _CM_PAIR, "n": 2, "k": {"s0": 1, "s0c": 0.0}}),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1.5, 0]}}),
+    (_PARAM, {"pairs": {"v1": {"mu": [0.5], "nu": ["-1/2"]}}}),
+    (("qform-invariants",), "[[NaN]]"),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main([*argv, str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
-
-
-_CM_LISTED = dict(_CM_PAIR, labels=[["a"]])
-
-
-# raw JSON texts, since json.dumps cannot write 1e400 or NaN as they stand
-@pytest.mark.parametrize("argv,text", [
-    (("qform-invariants",), '[[1e400]]'),
-    (("clifford-split", "--gram"), '[[1e400]]'),
-    (("torus-lift",), '{"quotient": [[1e400]], "cocharacter": [1]}'),
-    (("torus-lift",), '{"quotient": [[1.5, 2]], "cocharacter": [1]}'),
-    (("qform-invariants",), '[[0.1]]'),
-    (("hecke-feasible",), json.dumps({"cm": _CM_LISTED, "n": 4, "m": {"s0": 1, "s0c": 3}})),
-    (("galois-char-feasible",), json.dumps({"cm": _CM_LISTED, "n": 2, "k": {"s0": 1, "s0c": 0}})),
-    (("torus-lift",), '{"quotient": [[2, 3]], "cocharacter": [1.5]}'),
-    (("torus-lift",), '{"quotient": [[true, 3]], "cocharacter": [1]}'),
-    (("hecke-feasible",), json.dumps({"cm": _CM_PAIR, "n": 4.0, "m": {"s0": 1, "s0c": 3}})),
-    (("hecke-feasible",), json.dumps({"cm": _CM_PAIR, "n": 4, "m": {"s0": 1.5, "s0c": 3}})),
-    (("galois-char-feasible",), json.dumps({"cm": _CM_PAIR, "n": 2.5, "k": {"s0": 1, "s0c": 0}})),
-    (("galois-char-feasible",), json.dumps({"cm": _CM_PAIR, "n": 2, "k": {"s0": 1, "s0c": 0.0}})),
-    (_LIFT, json.dumps({"cm": _CM_REAL, "mu": {"v0": [1.5, 0]}})),
-    (_PARAM, json.dumps({"pairs": {"v1": {"mu": [0.5], "nu": ["-1/2"]}}})),
-    (("qform-invariants",), '[[NaN]]'),
-])
-def test_json_numbers_other_than_integers_exit_2(tmp_path, capsys, argv, text):
-    # a float is refused, never truncated, rounded or read as its binary value
-    path = tmp_path / "payload.json"
-    path.write_text(text)
-    code = main([*argv, str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_verify_single_check(capsys):
