@@ -38,7 +38,7 @@ from .qforms import (
     invariants,
     k3_primitive,
 )
-from .rootdata import central_quotient_data, datum_by_name, gm_embed, sp_datum
+from .rootdata import central_quotient_data, datum_by_name, gm_embed, minimal_torus_embed, sp_datum
 from .weights import (
     center_action_parity,
     irrep_weight_multiset,
@@ -129,7 +129,6 @@ def check_parameter_lifting(rng):
     checked = 0
     for name in ("A1.sc", "A2.sc", "A3.sc", "B2.sc", "B3.sc", "C2.sc", "C3.sc"):
         rd = datum_by_name(name)
-        from .rootdata import minimal_torus_embed
         cqd = central_quotient_data(rd, minimal_torus_embed(rd))
         for _ in range(15):
             mu = tuple(rng.randint(-5, 5) for _ in range(rd.rank))

@@ -83,14 +83,12 @@ def _emit(report: dict, fmt: str):
 
 def _cqd_from_args(args):
     rd = datum_by_name(args.group)
-    if getattr(args, "tilde_embed", None):
+    if args.tilde_embed:
         embed = IntMatrix.from_json(_load_json(args.tilde_embed))
     elif args.tilde == "gm":
         embed = gm_embed(rd)
-    elif args.tilde == "minimal":
-        embed = minimal_torus_embed(rd)
     else:
-        raise InputError(f"unknown torus extension {args.tilde!r}")
+        embed = minimal_torus_embed(rd)
     return rd, central_quotient_data(rd, embed)
 
 
@@ -161,7 +159,9 @@ def cmd_hecke(args, fmt, seed):
     with _payload("hecke-feasible"):
         data = CMEmbeddingData.from_json(payload["cm"])
         n, m = json_number(payload["n"]), {l: json_number(v) for l, v in payload["m"].items()}
-        grunwald_wang = bool(payload.get("grunwald_wang", False))
+        grunwald_wang = payload.get("grunwald_wang", False)
+        if type(grunwald_wang) is not bool:
+            raise TypeError(f"grunwald_wang must be true or false, not {grunwald_wang!r}")
     res = hecke_extension_feasible(data, n, m, grunwald_wang)
     out = {"check": "hecke-extension", "seed": seed,
            "typeA": res.typeA, "finite_order": res.finite_order,
@@ -328,24 +328,23 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+    datum = _Parser(add_help=False)
+    datum.add_argument("--group", required=True)
+    datum.add_argument("--tilde", choices=("gm", "minimal"), default="minimal")
+    datum.add_argument("--tilde-embed", help="JSON file with an explicit embedding matrix")
     p = _Parser(
         prog="liftcalc",
         description="Exact computations with root data, lifting obstructions, "
                     "spin branching, quadratic forms, and Heisenberg representations.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("lift-check", parents=[common], help="decide geometric liftability of a weight family")
-    s.add_argument("--group", required=True)
-    s.add_argument("--tilde", default="minimal", help="gm | minimal")
-    s.add_argument("--tilde-embed", help="JSON file with an explicit embedding matrix")
+    s = sub.add_parser("lift-check", parents=[common, datum],
+                       help="decide geometric liftability of a weight family")
     s.add_argument("--mode", choices=("totally-real", "imaginary"), required=True)
     s.add_argument("--hodge", required=True, help="JSON file with cm data and mu")
     s.set_defaults(func=cmd_lift_check)
 
-    s = sub.add_parser("param-lift", parents=[common], help="lift archimedean parameters")
-    s.add_argument("--group", required=True)
-    s.add_argument("--tilde", default="minimal")
-    s.add_argument("--tilde-embed")
+    s = sub.add_parser("param-lift", parents=[common, datum], help="lift archimedean parameters")
     s.add_argument("--recipe", choices=("cm-typeA", "finite-order"), required=True)
     s.add_argument("--non-tempered", action="store_true")
     s.add_argument("params")

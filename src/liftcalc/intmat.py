@@ -325,18 +325,14 @@ def ext1_to_Z(G: FinAbGroup) -> FinAbGroup:
     return G.torsion_part()
 
 
-def solve_rational(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
+def solve_rational(A: IntMatrix, target) -> tuple | None:
     """One rational solution x of A x = target, or None when there is none.
 
-    x = V (c / d) with c = U target, read off the Smith normal form, which a
-    caller that already has it for A may pass as ``form``.  Entries of c / d
-    that divide exactly stay ``int``, so an integral solution is built
-    without a ``Fraction``.
+    x = V (c / d) with c = U target, read off the Smith normal form of A.
+    Entries of c / d that divide exactly stay ``int``, so an integral
+    solution is built without a ``Fraction``.
     """
-    if A.rows == 0:
-        return (0,) * A.cols
-    if form is None:
-        form = smith_normal_form(A)
+    form = smith_normal_form(A)
     c = form.U.apply(target)
     r = form.rank
     if any(c[r:]):
@@ -346,24 +342,21 @@ def solve_rational(A: IntMatrix, target, form: SmithForm | None = None) -> tuple
     return form.V.apply(t + [0] * (A.cols - r))
 
 
-def solve_linear(A: IntMatrix, target, form: SmithForm | None = None) -> tuple | None:
+def solve_linear(A: IntMatrix, target) -> tuple | None:
     """One integer solution x of A x = target, or None.
 
     The integral case of ``solve_rational``: V is unimodular, so x is
     integral exactly when c / d is, and no entry is then a ``Fraction``.
     """
-    x = solve_rational(A, target, form)
+    x = solve_rational(A, target)
     if x is None or any(isinstance(v, Fraction) for v in x):
         return None
     return x
 
 
-def kernel_basis(A: IntMatrix, form: SmithForm | None = None) -> list:
+def kernel_basis(A: IntMatrix) -> list:
     """Basis (list of column vectors) of the integer kernel of A."""
-    if A.rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(A.cols)) for j in range(A.cols)]
-    if form is None:
-        form = smith_normal_form(A)
+    form = smith_normal_form(A)
     return [form.V.col(j) for j in range(form.rank, A.cols)]
 
 
@@ -385,14 +378,11 @@ def solve_congruence(A: IntMatrix, target, moduli):
 
     Returns (particular solution, basis of the solution lattice) or None.
     """
-    if A.rows == 0:
-        return (0,) * A.cols, kernel_basis(A)
     B = congruence_system(A, moduli)
-    form = smith_normal_form(B)
-    part = solve_linear(B, target, form)
+    part = solve_linear(B, target)
     if part is None:
         return None
-    return tuple(part[:A.cols]), [tuple(k[:A.cols]) for k in kernel_basis(B, form)]
+    return tuple(part[:A.cols]), [tuple(k[:A.cols]) for k in kernel_basis(B)]
 
 
 def congruence_kernel_basis(A: IntMatrix, moduli) -> list:
@@ -435,10 +425,9 @@ def torus_lift(quotient: IntMatrix, lam) -> tuple | None:
     lam = tuple(int(x) for x in lam)
     if len(lam) != quotient.rows:
         raise InputError("cocharacter length does not match quotient target rank")
-    form = smith_normal_form(quotient)
-    if form.rank < quotient.rows:
+    if smith_normal_form(quotient).rank < quotient.rows:
         raise InputError("quotient map is not surjective over Q")
-    x = solve_linear(quotient, lam, form)
+    x = solve_linear(quotient, lam)
     if x is None:
         return None
     if quotient.apply(x) != lam:

@@ -80,7 +80,15 @@ class BasedRootDatum:
 
 
 def validate(rd: BasedRootDatum) -> str:
-    """Check the based-root-datum axioms; return "ok" or name the first failure."""
+    """Check the based-root-datum axioms; return "ok" or name the first failure.
+
+    Finiteness and independence are both read off the Cartan matrix C:
+    the minor loop requires every principal minor positive, det C among
+    them.  A relation sum c_i alpha_i = 0 among the simple roots would give
+    c^T C = 0, and one sum c_j alpha_j^vee = 0 among the simple coroots
+    would give C c = 0; either way C would be singular, so data with
+    dependent simple roots or coroots fail at a principal minor.
+    """
     l = rd.semisimple_rank
     if len(rd.simple_coroots) != l:
         return "number of simple roots and coroots differ"
@@ -106,11 +114,6 @@ def validate(rd: BasedRootDatum) -> str:
             M = IntMatrix.from_rows([[C[i, j] for j in sub] for i in sub])
             if M.det() <= 0:
                 return f"Cartan principal minor {sub} not positive (not finite type)"
-    if l:
-        if smith_normal_form(IntMatrix.from_rows([list(r) for r in zip(*rd.simple_roots)])).rank < l:
-            return "simple roots linearly dependent"
-        if smith_normal_form(IntMatrix.from_rows([list(r) for r in zip(*rd.simple_coroots)])).rank < l:
-            return "simple coroots linearly dependent"
     return "ok"
 
 
@@ -171,17 +174,15 @@ def _is_positive(rd, beta):
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
-@cache
-def _simple_root_system(rank, roots):
-    """The matrix whose columns are the simple roots, and its Smith form."""
-    A = IntMatrix.from_rows([[r[i] for r in roots] for i in range(rank)])
-    return A, smith_normal_form(A)
+def _simple_root_matrix(rd):
+    """The rank x l matrix whose columns are the simple roots."""
+    return IntMatrix(rd.rank, rd.semisimple_rank,
+                     tuple(tuple(r[i] for r in rd.simple_roots) for i in range(rd.rank)))
 
 
 def _root_coordinates(rd, vec):
     """Exact coordinates of vec in the simple-root basis, or None."""
-    A, form = _simple_root_system(rd.rank, rd.simple_roots)
-    return solve_rational(A, vec, form)
+    return solve_rational(_simple_root_matrix(rd), vec)
 
 
 def half_sum_positive_roots(rd: BasedRootDatum) -> tuple:
@@ -239,20 +240,12 @@ class CenterMap:
 def center_characters(rd: BasedRootDatum) -> CenterMap:
     """Characters of the center: X(T)/(root lattice), computed by SNF."""
     _require_valid(rd)
-    l = rd.semisimple_rank
-    if l == 0:
-        A = IntMatrix.zero(rd.rank, 1)
-    else:
-        A = IntMatrix.from_rows([[rd.simple_roots[j][i] for j in range(l)]
-                                 for i in range(rd.rank)])
-    form = smith_normal_form(A)
+    form = smith_normal_form(_simple_root_matrix(rd))
     tor_idx = [i for i in range(form.rank) if form.D[i, i] > 1]
     free_idx = list(range(form.rank, rd.rank))
     moduli = tuple(form.D[i, i] for i in tor_idx)
-    tor_rows = IntMatrix.from_rows([list(form.U.row(i)) for i in tor_idx]) \
-        if tor_idx else IntMatrix.zero(0, rd.rank)
-    free_rows = IntMatrix.from_rows([list(form.U.row(i)) for i in free_idx]) \
-        if free_idx else IntMatrix.zero(0, rd.rank)
+    tor_rows = IntMatrix(len(tor_idx), rd.rank, tuple(form.U.row(i) for i in tor_idx))
+    free_rows = IntMatrix(len(free_idx), rd.rank, tuple(form.U.row(i) for i in free_idx))
     group = FinAbGroup(moduli, len(free_idx))
     return CenterMap(group, moduli, tor_rows, free_rows)
 
@@ -470,16 +463,14 @@ class CentralQuotientData:
 
     @cached_property
     def _class_system(self):
-        """The congruence system of embed * basis_change, and its Smith form."""
-        B = congruence_system(self.embed * self.basis_change,
-                              self.center.moduli + (0,) * self.center.group.free_rank)
-        return B, smith_normal_form(B)
+        """The congruence system of embed * basis_change."""
+        return congruence_system(self.embed * self.basis_change,
+                                 self.center.moduli + (0,) * self.center.group.free_rank)
 
     def normalized_class(self, chi):
         """Coordinates (k_i mod d_i; free part) of the class of chi in X(Z_G)."""
         tor, free = self.center.class_of(chi)
-        B, form = self._class_system
-        x = solve_linear(B, tuple(tor) + tuple(free), form)
+        x = solve_linear(self._class_system, tuple(tor) + tuple(free))
         if x is None:
             raise AssertionError("normalized coordinate solve failed on a surjective map")
         ks = tuple(x[i] % self.d[i] for i in range(self.r))
@@ -527,11 +518,10 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
     m = embed.cols
     # surjectivity: together with the relations d_i * gen_i = 0, the columns
     # of embed must span all of Z^(r0+f0)
-    if r0 + f0 > 0:
-        aug = [list(embed.row(i)) + [center.moduli[i] if j == i else 0 for j in range(r0)]
-               for i in range(r0 + f0)]
-        if not cokernel_invariants(IntMatrix.from_rows(aug)).is_trivial:
-            raise InputError("embedding of the center is not surjective on character groups")
+    aug = [list(embed.row(i)) + [center.moduli[i] if j == i else 0 for j in range(r0)]
+           for i in range(r0 + f0)]
+    if not cokernel_invariants(IntMatrix.from_rows(aug)).is_trivial:
+        raise InputError("embedding of the center is not surjective on character groups")
     moduli = tuple(center.moduli) + (0,) * f0
     kerb = congruence_kernel_basis(embed, moduli)
     k = len(kerb)
@@ -556,28 +546,20 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
     if group_from_quotient != center.group:
         raise AssertionError("quotient of X(Ztilde) does not match X(Z_G)")
     # lifts of the normalized torsion basis classes to X(T)
+    n = rd.rank
     EN = embed * basis_change
-    rows = [list(center.tor_rows.row(t)) for t in range(r0)] + \
-           [list(center.free_rows.row(t)) for t in range(f0)]
-    B = congruence_system(IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, rd.rank),
-                          moduli)
-    form = smith_normal_form(B) if d else None
+    proj = center.tor_rows.entries + center.free_rows.entries
+    B = congruence_system(IntMatrix(r0 + f0, n, proj), moduli)
     torsion_lifts = []
     for i in range(len(d)):
-        x = solve_linear(B, EN.col(i), form)
+        x = solve_linear(B, EN.col(i))
         if x is None:
             raise AssertionError("restriction X(T) -> X(Z_G) failed to hit a class")
-        torsion_lifts.append(x[:rd.rank])
+        torsion_lifts.append(x[:n])
     # X(Ttilde) = {(chi, psi) : chi and psi agree on Z_G}
-    n = rd.rank
-    pi_rows = []
-    for t in range(r0):
-        pi_rows.append(list(center.tor_rows.row(t)) + [-x for x in embed.row(t)])
-    for t in range(f0):
-        pi_rows.append(list(center.free_rows.row(t)) + [-x for x in embed.row(r0 + t)])
-    Pi = IntMatrix.from_rows(pi_rows) if pi_rows else IntMatrix.zero(0, n + m)
-    fiber = congruence_kernel_basis(Pi, moduli) if pi_rows else \
-        [tuple(1 if i == j else 0 for i in range(n + m)) for j in range(n + m)]
+    Pi = IntMatrix(r0 + f0, n + m, tuple(p + tuple(-x for x in e)
+                                         for p, e in zip(proj, embed.entries)))
+    fiber = congruence_kernel_basis(Pi, moduli)
     fiber_basis = IntMatrix.from_rows([list(row) for row in zip(*fiber)])
     cqd = CentralQuotientData(
         G=rd, center=center, embed=embed, ztilde_rank=m,

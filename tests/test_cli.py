@@ -14,7 +14,7 @@ from liftcalc import acceptance
 from liftcalc.cli import main
 from liftcalc.heisenberg import MAX_MODULUS
 from liftcalc.lifting import MAX_CLASSIFY_RANK
-from liftcalc.weights import MAX_SPIN_RANK
+from liftcalc.weights import MAX_PLETHYSM_G, MAX_SPIN_RANK
 
 
 def run(capsys, *argv):
@@ -367,6 +367,11 @@ def test_cli_fuzz(tmp_path, capsys):
     rng = random.Random(20124)
     cases += [_fuzz_payload_argv(rng, _JSON_KINDS[i % len(_JSON_KINDS)], tmp_path / f"p{i}.json")
               for i in range(140)]
+    # plethysm-check comes last, from a seed of its own: g on both sides of 1..MAX_PLETHYSM_G
+    rng = random.Random(20125)
+    gs = [rng.choice((rng.randint(1, MAX_PLETHYSM_G), rng.randint(-5, 0),
+                      rng.randint(MAX_PLETHYSM_G + 1, 10 ** 6))) for _ in range(15)]
+    cases += [["plethysm-check", "--g", str(g)] for g in gs]
     codes = []
     for argv in cases:
         start = time.perf_counter()
@@ -382,7 +387,9 @@ def test_cli_fuzz(tmp_path, capsys):
     assert {0, 2, 3} <= set(codes[:90])
     assert codes[90:120].count(2) >= 25
     assert {0, 2} == set(codes[120:160])
-    assert {0, 1, 2} <= set(codes[160:])
+    assert {0, 1, 2} <= set(codes[160:300])
+    assert codes[300:] == [0 if 1 <= g <= MAX_PLETHYSM_G else 2 if g < 1 else 3 for g in gs]
+    assert {0, 2, 3} == set(codes[300:])
 
 
 def test_help_exits_0(capsys):
@@ -553,6 +560,13 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
     (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1.5, 0]}}),
     (_PARAM, {"pairs": {"v1": {"mu": [0.5], "nu": ["-1/2"]}}}),
     (("qform-invariants",), "[[NaN]]"),
+    # the Grunwald-Wang flag is a JSON boolean, never a string, number or null
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3},
+                           "grunwald_wang": "false"}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3},
+                           "grunwald_wang": 0}),
+    (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3},
+                           "grunwald_wang": None}),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"
@@ -562,6 +576,21 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_hecke_grunwald_wang_flag(tmp_path, capsys):
+    path = tmp_path / "hecke.json"
+    notes = {}
+    for flag in (True, False, "absent"):
+        payload = {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3}}
+        if flag != "absent":
+            payload["grunwald_wang"] = flag
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, "hecke-feasible", str(path))
+        assert code == 0
+        notes[flag] = json.loads(out)["annotation"]
+    assert notes == {True: "Grunwald-Wang special case flagged by caller",
+                     False: "", "absent": ""}
 
 
 def test_verify_single_check(capsys):

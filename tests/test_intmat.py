@@ -297,6 +297,15 @@ def test_check_smith_runs_once_per_miss(monkeypatch):
     assert len(checked) == misses == len(set(mats))
 
 
+def test_torus_lift_factors_its_quotient_once():
+    # the surjectivity check and the solve both read the cached form
+    intmat._smith_form.cache_clear()
+    Q = IntMatrix.from_rows([[4, 6, 9], [2, -3, 5]])
+    x = torus_lift(Q, (7, -1))
+    assert x is not None and Q.apply(x) == (7, -1)
+    assert intmat._smith_form.cache_info().misses == 1
+
+
 def test_smith_cache_is_bounded():
     assert intmat._smith_form.cache_info().maxsize == 32
 

@@ -68,3 +68,24 @@ def test_every_public_name_is_used_in_the_package():
               if node.name not in liftcalc._LAYER_OF
               and everywhere[node.name] == Counter(_mentions(node))[node.name]]
     assert unused == []
+
+
+def test_no_function_takes_a_smith_form():
+    # each caller asks smith_normal_form for the form of its own matrix, so
+    # the Smith cache is the one factor-once path; a form handed from one
+    # function to another would be a second.  _check_smith is the check of
+    # a form just built, and takes it for that.
+    offenders = []
+    for path in sorted(Path(liftcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            a = node.args
+            params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            for p in params:
+                annotated = p.annotation is not None and "SmithForm" in ast.unparse(p.annotation)
+                if (p.arg == "form" or annotated) and name != "_check_smith":
+                    offenders.append(f"{path.name}:{name}({p.arg})")
+    assert offenders == []

@@ -3,12 +3,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from test_intmat import random_unimodular
 
-from liftcalc import rootdata
-from liftcalc.intmat import BoundError, FinAbGroup, InputError, IntMatrix
+from liftcalc import intmat, rootdata
+from liftcalc.intmat import (
+    BoundError,
+    FinAbGroup,
+    InputError,
+    IntMatrix,
+    invert_unimodular,
+    smith_normal_form,
+)
 from liftcalc.rootdata import (
     MAX_DATUM_RANK,
     BasedRootDatum,
+    CenterMap,
     central_quotient_data,
     center_characters,
     datum_by_name,
@@ -95,6 +104,43 @@ def test_validate_infinite_type():
     assert "finite type" in validate(bad)
 
 
+# singular generalized Cartan matrices, of affine types A1, A2 (twisted),
+# A2, C2, G2 and D4: every proper principal minor is positive, det C = 0
+SINGULAR_CARTANS = [
+    [[2, -2], [-2, 2]],
+    [[2, -4], [-1, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    [[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [-1, 0, 0, 2, 0],
+     [-1, 0, 0, 0, 2]],
+]
+
+
+def test_dependent_simple_roots_or_coroots_fail_at_a_minor():
+    # validate has no independence check of its own: roots alpha_i = (C W)_i
+    # and coroots alpha_j^vee = (W^-1)^j pair to C[i][j] for any unimodular W,
+    # the roots are dependent because C is singular, and a principal minor
+    # catches them; the dual datum has the dependent coroots
+    rng = random.Random(1114)
+    for _ in range(60):
+        C = rng.choice(SINGULAR_CARTANS)
+        l = len(C)
+        perm = rng.sample(range(l), l)
+        C = IntMatrix.from_rows([[C[i][j] for j in perm] for i in perm])
+        assert C.det() == 0
+        W = random_unimodular(l, rng)
+        extra = rng.randint(0, 2)
+        roots = [list(r) + [0] * extra for r in (C * W).entries]
+        coroots = [list(c) + [rng.randint(-3, 3) for _ in range(extra)]
+                   for c in invert_unimodular(W).transpose().entries]
+        rd = BasedRootDatum.make(roots, coroots)
+        assert rd.cartan_matrix() == C
+        assert smith_normal_form(IntMatrix.from_rows(roots)).rank < l
+        for datum in (rd, dual(rd)):
+            assert validate(datum).startswith("Cartan principal minor")
+
+
 def test_dual_sl2_is_pgl2():
     d = dual(SL2)
     pgl2 = simple_type("A", 1, "adjoint")
@@ -174,6 +220,34 @@ def test_center_adjoint_trivial():
 def test_center_gl3():
     # GL3: X(Z) = Z (the determinant direction)
     assert center_characters(gl_datum(3)).group == FinAbGroup((), 1)
+
+
+def test_center_characters_of_tori():
+    # semisimple rank 0, which no golden digest covers
+    assert center_characters(gl_datum(1)) == CenterMap(
+        FinAbGroup((), 1), (), IntMatrix(0, 1, ()), IntMatrix(1, 1, ((1,),)))
+    assert center_characters(BasedRootDatum.make([], [], rank=2)) == CenterMap(
+        FinAbGroup((), 2), (), IntMatrix(0, 2, ()), IntMatrix(2, 2, ((1, 0), (0, 1))))
+
+
+def test_central_quotient_data_factors_each_matrix_once(monkeypatch):
+    seen = []
+    cached = intmat._smith_form
+
+    def recording(A):
+        seen.append(A)
+        return cached(A)
+
+    monkeypatch.setattr(intmat, "_smith_form", recording)
+    rd = datum_by_name("C3.sc")
+    cached.cache_clear()
+    cqd = central_quotient_data(rd, minimal_torus_embed(rd))
+    assert cached.cache_info().misses <= len(set(seen))
+    # the normalized-class system is factored on the first class only
+    misses = cached.cache_info().misses
+    cqd.theta((1, 0, 0))
+    cqd.theta((0, 1, 1))
+    assert cached.cache_info().misses <= misses + 1
 
 
 def test_half_sum_examples():
