@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each ``cmd_*`` handler parses its input, computes and returns its report
+with an exit code; ``main`` writes every report, as JSON or as a table.
+
 Exit codes: 0 success, 1 a verification failed, a lift is obstructed or
 stdout closed before the report was written, 2 malformed input, 3 a
 feasibility bound was exceeded.
@@ -21,7 +24,7 @@ from .heisenberg import (
     rep_determinant,
     rep_rho,
 )
-from .intmat import BoundError, InputError, IntMatrix, json_number, torus_lift
+from .intmat import BoundError, InputError, IntMatrix, json_array, json_number, torus_lift
 from .lifting import (
     HodgeFamily,
     ParameterPair,
@@ -54,10 +57,11 @@ def _load_json(path):
 
 
 @contextmanager
-def _payload(name):
-    """Report key, type and shape errors met while parsing a JSON payload as InputError."""
+def _payload(name, path):
+    """Yield the JSON payload at path; report key, type and shape errors met parsing it as InputError."""
+    payload = _load_json(path)
     try:
-        yield
+        yield payload
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -89,110 +93,93 @@ def _cqd_from_args(args):
         embed = gm_embed(rd)
     else:
         embed = minimal_torus_embed(rd)
-    return rd, central_quotient_data(rd, embed)
+    return central_quotient_data(rd, embed)
 
 
-def cmd_lift_check(args, fmt, seed):
-    _, cqd = _cqd_from_args(args)
-    payload = _load_json(args.hodge)
-    with _payload("lift-check"):
+def cmd_lift_check(args):
+    cqd = _cqd_from_args(args)
+    with _payload("lift-check", args.hodge) as payload:
         data = CMEmbeddingData.from_json(payload["cm"])
-        h = HodgeFamily.make(data, {l: tuple(json_number(x) for x in v)
+        h = HodgeFamily.make(data, {l: tuple(json_number(x) for x in json_array(v))
                                     for l, v in payload["mu"].items()})
     mode = "totally_real" if args.mode == "totally-real" else "imaginary"
     rep = geometric_lift_exists(cqd, h, mode)
-    out = rep.to_json()
-    out["check"] = "central-quotient-lift"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK if rep.decision == "lift_exists" else EXIT_VERIFICATION
+    return ({**rep.to_json(), "check": "central-quotient-lift", "seed": args.seed},
+            EXIT_OK if rep.decision == "lift_exists" else EXIT_VERIFICATION)
 
 
-def cmd_param_lift(args, fmt, seed):
-    _, cqd = _cqd_from_args(args)
-    payload = _load_json(args.params)
+def cmd_param_lift(args):
+    cqd = _cqd_from_args(args)
     pairs = {}
-    with _payload("param-lift"):
+    with _payload("param-lift", args.params) as payload:
         for label, pv in payload["pairs"].items():
-            mu = [json_number(x, Fraction) for x in pv["mu"]]
-            nu = [json_number(x, Fraction) for x in pv["nu"]]
+            mu = [json_number(x, Fraction) for x in json_array(pv["mu"])]
+            nu = [json_number(x, Fraction) for x in json_array(pv["nu"])]
             pairs[label] = ParameterPair.make(mu, nu)
     recipe = "cm_typeA" if args.recipe == "cm-typeA" else "finite_order"
     rep = lift_archimedean_parameter(cqd, pairs, recipe,
                                      tempered=not args.non_tempered)
-    out = rep.to_json()
-    out["check"] = "archimedean-parameter-lift"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK
+    return {**rep.to_json(), "check": "archimedean-parameter-lift", "seed": args.seed}, EXIT_OK
 
 
-def cmd_classify(args, fmt, seed):
+def cmd_classify(args):
     rows = classify_simple_types(args.max_rank)
     out = {
         "check": "simple-type-table",
-        "seed": seed,
+        "seed": args.seed,
         "table": [r.to_json() for r in rows],
     }
-    _emit(out, fmt)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_torus_lift(args, fmt, seed):
-    payload = _load_json(args.input)
-    with _payload("torus-lift"):
+def cmd_torus_lift(args):
+    with _payload("torus-lift", args.input) as payload:
         Q = IntMatrix.from_json(payload["quotient"])
-        lam = tuple(json_number(x) for x in payload["cocharacter"])
+        lam = tuple(json_number(x) for x in json_array(payload["cocharacter"]))
     lift = torus_lift(Q, lam)
     out = {
         "check": "torus-cocharacter-lift",
-        "seed": seed,
+        "seed": args.seed,
         "lift_exists": lift is not None,
         "witness": list(lift) if lift is not None else None,
     }
-    _emit(out, fmt)
-    return EXIT_OK if lift is not None else EXIT_VERIFICATION
+    return out, EXIT_OK if lift is not None else EXIT_VERIFICATION
 
 
-def cmd_hecke(args, fmt, seed):
-    payload = _load_json(args.input)
-    with _payload("hecke-feasible"):
+def cmd_hecke(args):
+    with _payload("hecke-feasible", args.input) as payload:
         data = CMEmbeddingData.from_json(payload["cm"])
         n, m = json_number(payload["n"]), {l: json_number(v) for l, v in payload["m"].items()}
         grunwald_wang = payload.get("grunwald_wang", False)
         if type(grunwald_wang) is not bool:
             raise TypeError(f"grunwald_wang must be true or false, not {grunwald_wang!r}")
     res = hecke_extension_feasible(data, n, m, grunwald_wang)
-    out = {"check": "hecke-extension", "seed": seed,
+    out = {"check": "hecke-extension", "seed": args.seed,
            "typeA": res.typeA, "finite_order": res.finite_order,
            "annotation": res.annotation}
-    _emit(out, fmt)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_galchar(args, fmt, seed):
-    payload = _load_json(args.input)
-    with _payload("galois-char-feasible"):
+def cmd_galchar(args):
+    with _payload("galois-char-feasible", args.input) as payload:
         data = CMEmbeddingData.from_json(payload["cm"])
         n, k = json_number(payload["n"]), {l: json_number(v) for l, v in payload["k"].items()}
     res = galois_char_feasible(data, n, k)
-    out = {"check": "fractional-weight-character", "seed": seed,
+    out = {"check": "fractional-weight-character", "seed": args.seed,
            "feasible": res is not None}
     if res is not None:
         out["purity_weight"] = res.purity_weight
         out["witness"] = {l: str(w) for l, w in res.weights.items()}
-    _emit(out, fmt)
-    return EXIT_OK if res is not None else EXIT_VERIFICATION
+    return out, EXIT_OK if res is not None else EXIT_VERIFICATION
 
 
-def cmd_spin_weights(args, fmt, seed):
+def cmd_spin_weights(args):
     ms = spin_weight_multiset(args.n, args.family, args.half)
-    out = {"check": "spin-weights", "seed": seed,
+    out = {"check": "spin-weights", "seed": args.seed,
            "dimension": ms.dimension,
            "weights": [{"weight": [str(x) for x in w], "multiplicity": m}
                        for w, m in ms.weights()]}
-    _emit(out, fmt)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
 def _parse_branch_target(to: str):
@@ -212,7 +199,7 @@ def _parse_branch_target(to: str):
     raise InputError(f"cannot parse branch target {to!r}")
 
 
-def cmd_branch(args, fmt, seed):
+def cmd_branch(args):
     kind, c, d = _parse_branch_target(args.to)
     if kind == "pair":
         rep = verify_spin_factorization(c, d)
@@ -225,46 +212,34 @@ def cmd_branch(args, fmt, seed):
         expected_from = f"so{2 * c * d}"
     if args.source and args.source != expected_from:
         raise InputError(f"target {args.to!r} lives inside {expected_from}, not {args.source!r}")
-    out = rep.to_json()
-    out["check"] = "spin-branching"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK if rep.ok else EXIT_VERIFICATION
+    return ({**rep.to_json(), "check": "spin-branching", "seed": args.seed},
+            EXIT_OK if rep.ok else EXIT_VERIFICATION)
 
 
-def cmd_plethysm(args, fmt, seed):
+def cmd_plethysm(args):
     rep = verify_plethysm(args.g)
-    out = rep.to_json()
-    out["check"] = "exterior-algebra-plethysm"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK if rep.ok else EXIT_VERIFICATION
+    return ({**rep.to_json(), "check": "exterior-algebra-plethysm", "seed": args.seed},
+            EXIT_OK if rep.ok else EXIT_VERIFICATION)
 
 
-def cmd_dim(args, fmt, seed):
+def cmd_dim(args):
     rd = datum_by_name(args.group)
     try:
         lam = [Fraction(x) for x in args.weight.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse weight {args.weight!r}: {exc}") from exc
-    out = {"check": "weyl-dimension", "seed": seed,
+    out = {"check": "weyl-dimension", "seed": args.seed,
            "group": args.group, "weight": [str(x) for x in lam],
            "dimension": weyl_dimension(rd, lam)}
-    _emit(out, fmt)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_qform(args, fmt, seed):
-    q = QForm.from_json(_load_json(args.gram))
-    inv = invariants(q)
-    out = inv.to_json()
-    out["check"] = "quadratic-form-invariants"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK
+def cmd_qform(args):
+    inv = invariants(QForm.from_json(_load_json(args.gram)))
+    return {**inv.to_json(), "check": "quadratic-form-invariants", "seed": args.seed}, EXIT_OK
 
 
-def cmd_clifford(args, fmt, seed):
+def cmd_clifford(args):
     if args.builtin == "k3":
         q = k3_primitive(args.q_eta)
     elif args.gram:
@@ -272,14 +247,10 @@ def cmd_clifford(args, fmt, seed):
     else:
         raise InputError("provide --builtin k3 or a Gram matrix file")
     res = even_clifford_split(q)
-    out = res.to_json()
-    out["check"] = "even-clifford-splitness"
-    out["seed"] = seed
-    _emit(out, fmt)
-    return EXIT_OK
+    return {**res.to_json(), "check": "even-clifford-splitness", "seed": args.seed}, EXIT_OK
 
 
-def cmd_heisenberg(args, fmt, seed):
+def cmd_heisenberg(args):
     r1 = rep_rho(args.n, args.alpha)
     r2 = rep_rho(args.n, args.beta)
     same, _ = elementwise_projective_conjugate(r1, r2)
@@ -290,7 +261,7 @@ def cmd_heisenberg(args, fmt, seed):
         return f"{s}zeta^{e}"
     out = {
         "check": "heisenberg-local-global",
-        "seed": seed,
+        "seed": args.seed,
         "n": args.n,
         "alpha": args.alpha,
         "beta": args.beta,
@@ -299,22 +270,20 @@ def cmd_heisenberg(args, fmt, seed):
         "determinants_alpha": {k: fmt_det(v) for k, v in rep_determinant(r1).items()},
         "determinants_beta": {k: fmt_det(v) for k, v in rep_determinant(r2).items()},
     }
-    _emit(out, fmt)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_verify(args, fmt, seed):
+def cmd_verify(args):
     if args.check is not None:
-        results = [run_check(args.check, seed)]
+        results = [run_check(args.check, args.seed)]
     else:
-        results = run_all(seed)
+        results = run_all(args.seed)
     rows = [r.to_json() for r in results]
     ok = all(r.ok for r in results)
     within = all(r.elapsed <= r.budget for r in results)
-    out = {"check": "verify-all", "seed": seed, "all_pass": ok,
+    out = {"check": "verify-all", "seed": args.seed, "all_pass": ok,
            "within_budgets": within, "results": rows}
-    _emit(out, fmt)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return out, EXIT_OK if ok else EXIT_VERIFICATION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,7 +388,9 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            return args.func(args, args.format, args.seed)
+            report, code = args.func(args)
+            _emit(report, args.format)
+            return code
         finally:
             # a pipe's reader may be gone already; find out here, not at shutdown
             sys.stdout.flush()

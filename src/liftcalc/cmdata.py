@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import InputError
+from .intmat import InputError, json_array
 
 MODES = ("totally_real", "cm", "general_imaginary")
 
@@ -54,9 +54,12 @@ class CMEmbeddingData:
     @staticmethod
     def from_json(data) -> "CMEmbeddingData":
         try:
-            out = CMEmbeddingData.make(
-                data["labels"], data["conj"], data["cm_labels"],
-                data["restrict"], data["cm_conj"], data["mode"])
+            labels, conj, cm_labels, restrict, cm_conj, mode = (
+                data[k] for k in ("labels", "conj", "cm_labels", "restrict", "cm_conj", "mode"))
+            if any(type(d) is not dict for d in (conj, restrict, cm_conj)):
+                raise TypeError("conj, restrict and cm_conj must be objects")
+            out = CMEmbeddingData.make(json_array(labels), conj, json_array(cm_labels),
+                                       restrict, cm_conj, mode)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad embedding data payload: {exc}") from exc
         # validate_cm hashes and compares labels, so each must be a string
@@ -66,16 +69,6 @@ class CMEmbeddingData:
         if any(type(x) is not str for x in names):
             raise InputError("bad embedding data payload: labels and mode must be strings")
         return out
-
-    def to_json(self):
-        return {
-            "labels": list(self.labels),
-            "conj": dict(self.conj),
-            "cm_labels": list(self.cm_labels),
-            "restrict": dict(self.restrict),
-            "cm_conj": dict(self.cm_conj),
-            "mode": self.mode,
-        }
 
     def complex_labels(self):
         """Labels moved by conjugation (the complex places)."""

@@ -33,6 +33,20 @@ def json_number(x, parse=int):
     return parse(x)
 
 
+def json_array(x):
+    """x for a JSON array; TypeError for any other value.
+
+    A string or an object is iterable too, so without this check "23" would
+    be read as the items 2 and 3 and {"1": 0} as its key.  A scalar gets the
+    message that iterating it gives.
+    """
+    if type(x) is list:
+        return x
+    if isinstance(x, (str, dict)):
+        raise TypeError(f"expected an array, not {type(x).__name__}")
+    raise TypeError(f"{type(x).__name__!r} object is not iterable")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix stored row-major."""
@@ -129,14 +143,11 @@ class IntMatrix:
                     return 1
         return g
 
-    def to_json(self):
-        """Nested arrays of decimal integer strings."""
-        return [[str(x) for x in r] for r in self.entries]
-
     @staticmethod
     def from_json(data) -> "IntMatrix":
         try:
-            return IntMatrix.from_rows([[json_number(x) for x in r] for r in data])
+            return IntMatrix.from_rows([[json_number(x) for x in json_array(r)]
+                                        for r in json_array(data)])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad matrix payload: {exc}") from exc
 

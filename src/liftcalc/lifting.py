@@ -94,7 +94,7 @@ class ObstructionReport:
             "classes": {l: list(v) for l, v in self.classes.items()},
             "witness": wit,
             "certificate": list(self.certificate) if self.certificate else None,
-            "purity_weights": [w if w is not None else None for w in self.purity_weights],
+            "purity_weights": list(self.purity_weights),
             "hodge_symmetric": self.hodge_symmetric,
             "notes": list(self.notes),
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .intmat import BoundError, InputError, json_number
+from .intmat import BoundError, InputError, json_array, json_number
 
 # Trial division gives up with BoundError once the divisor passes this
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
@@ -57,9 +57,6 @@ class QForm:
             rows.append([Fraction(0)] * n + list(other.gram[i]))
         return QForm(tuple(tuple(r) for r in rows), n + m)
 
-    def to_json(self):
-        return [[str(x) for x in r] for r in self.gram]
-
     @staticmethod
     def from_json(data) -> "QForm":
         """The form of a JSON Gram payload, each entry parsed once.
@@ -78,7 +75,8 @@ class QForm:
             return f
 
         try:
-            return QForm._checked(tuple(tuple(entry(x) for x in r) for r in data))
+            return QForm._checked(tuple(tuple(entry(x) for x in json_array(r))
+                                        for r in json_array(data)))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad Gram matrix payload: {exc}") from exc
 

@@ -63,21 +63,6 @@ class BasedRootDatum:
         return IntMatrix.from_rows(
             [[self.pairing(a, b) for b in self.simple_coroots] for a in self.simple_roots])
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "simple_roots": [list(r) for r in self.simple_roots],
-            "simple_coroots": [list(r) for r in self.simple_coroots],
-        }
-
-    @staticmethod
-    def from_json(data) -> "BasedRootDatum":
-        try:
-            return BasedRootDatum.make(data["simple_roots"], data["simple_coroots"],
-                                       rank=int(data["rank"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad root datum payload: {exc}") from exc
-
 
 def validate(rd: BasedRootDatum) -> str:
     """Check the based-root-datum axioms; return "ok" or name the first failure.

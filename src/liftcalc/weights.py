@@ -121,13 +121,6 @@ class WeightMultiset:
             acc = new
         return WeightMultiset(self.rank, tuple(sorted(acc.items())))
 
-    def __str__(self):
-        parts = []
-        for w, m in self.doubled:
-            vec = "(" + ", ".join(str(Fraction(x, 2)) for x in w) + ")"
-            parts.append(f"{vec} x{m}")
-        return f"dim {self.dimension}: " + "; ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # irreducible characters

@@ -257,19 +257,24 @@ def _fuzz_matrix(rng, rows, cols):
     return m
 
 
-def _fuzz_cm(rng):
-    """Embedding data of one to three labels: valid, a wrong mode or a non-string label."""
+def _valid_cm(rng):
+    """Valid embedding data of one to three labels, totally real or CM."""
     k = rng.randint(1, 3)
     if rng.random() < 0.5:
         labels = [f"v{i}" for i in range(k)]
         conj = {l: l for l in labels}
-        cm = {"labels": labels, "conj": conj, "cm_labels": labels,
-              "restrict": dict(conj), "cm_conj": dict(conj), "mode": "totally_real"}
-    else:
-        labels = [x for i in range(k) for x in (f"s{i}", f"s{i}c")]
-        conj = {l: l[:-1] if l.endswith("c") else l + "c" for l in labels}
-        cm = {"labels": labels, "conj": conj, "cm_labels": labels,
-              "restrict": {l: l for l in labels}, "cm_conj": dict(conj), "mode": "cm"}
+        return {"labels": labels, "conj": conj, "cm_labels": list(labels),
+                "restrict": dict(conj), "cm_conj": dict(conj), "mode": "totally_real"}
+    labels = [x for i in range(k) for x in (f"s{i}", f"s{i}c")]
+    conj = {l: l[:-1] if l.endswith("c") else l + "c" for l in labels}
+    return {"labels": labels, "conj": conj, "cm_labels": list(labels),
+            "restrict": {l: l for l in labels}, "cm_conj": dict(conj), "mode": "cm"}
+
+
+def _fuzz_cm(rng):
+    """Embedding data of one to three labels: valid, a wrong mode or a non-string label."""
+    cm = _valid_cm(rng)
+    labels = cm["labels"]
     spoil = rng.random()
     if spoil < 0.1:
         cm["mode"] = rng.choice(("general_imaginary", "x", 3))
@@ -345,6 +350,62 @@ def _fuzz_payload_argv(rng, kind, path):
     return [*argv, str(path)]
 
 
+def _containers(value, path=()):
+    """The path of every array and object in a JSON value, the value's own first."""
+    if isinstance(value, (list, dict)):
+        yield path
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _containers(v, (*path, k))
+
+
+def _swapped_container_argv(rng, kind, path):
+    """Argv and a valid payload for kind, with one array or object in it swapped
+    for a string, object or array that iterates over the same items."""
+    def small():
+        return rng.randint(-4, 4)
+    if kind == "torus-lift":
+        rows = rng.randint(1, 3)
+        payload = {"quotient": [[small() for _ in range(rows + rng.randint(0, 1))]
+                                for _ in range(rows)],
+                   "cocharacter": [small() for _ in range(rows)]}
+        argv = [kind]
+    elif kind in ("qform-invariants", "clifford-split"):
+        n = rng.choice((1, 3, 5))
+        g = [[small() for _ in range(n)] for _ in range(n)]
+        payload = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        argv = [kind] if kind == "qform-invariants" else [kind, "--gram"]
+    elif kind == "lift-check":
+        cm = _valid_cm(rng)
+        payload = {"cm": cm, "mu": {l: [small(), small()] for l in cm["labels"]}}
+        argv = [kind, "--group", "C2.sc", "--tilde", "gm", "--mode",
+                "totally-real" if cm["mode"] == "totally_real" else "imaginary", "--hodge"]
+    elif kind == "param-lift":
+        halves = [small() for _ in range(rng.randint(1, 3))]
+        payload = {"pairs": {f"v{i}": {"mu": [f"{a}/2"], "nu": [f"{-a}/2"]}
+                             for i, a in enumerate(halves)}}
+        argv = [kind, "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite-order"]
+    else:
+        cm = _valid_cm(rng)
+        key = "m" if kind == "hecke-feasible" else "k"
+        payload = {"cm": cm, "n": rng.randint(1, 8), key: {l: small() for l in cm["labels"]}}
+        argv = [kind]
+    # an array becomes the string of its items or an object keyed by them; an
+    # object becomes its list of pairs, its list of keys or its keys joined
+    box = [payload]
+    *parent, last = rng.choice(list(_containers(payload, (0,))))
+    holder = box
+    for k in parent:
+        holder = holder[k]
+    value = holder[last]
+    if isinstance(value, list):
+        holder[last] = rng.choice(("".join(map(str, value)), {str(x): 0 for x in value}))
+    else:
+        holder[last] = rng.choice(([[k, v] for k, v in value.items()], list(value),
+                                   "".join(value)))
+    path.write_text(json.dumps(box[0]))
+    return [*argv, str(path)]
+
+
 _FUZZ_KINDS = (("verify-paper", "classify-simple-types", "heisenberg-demo"),
                ("branch", "spin-weights"))
 _JSON_KINDS = ("lift-check", "param-lift", "torus-lift", "hecke-feasible",
@@ -372,6 +433,11 @@ def test_cli_fuzz(tmp_path, capsys):
     gs = [rng.choice((rng.randint(1, MAX_PLETHYSM_G), rng.randint(-5, 0),
                       rng.randint(MAX_PLETHYSM_G + 1, 10 ** 6))) for _ in range(15)]
     cases += [["plethysm-check", "--g", str(g)] for g in gs]
+    # payloads with an array or object swapped for another iterable come last,
+    # from a seed of their own; every one is refused
+    rng = random.Random(20126)
+    cases += [_swapped_container_argv(rng, _JSON_KINDS[i % len(_JSON_KINDS)],
+                                      tmp_path / f"s{i}.json") for i in range(35)]
     codes = []
     for argv in cases:
         start = time.perf_counter()
@@ -388,8 +454,9 @@ def test_cli_fuzz(tmp_path, capsys):
     assert codes[90:120].count(2) >= 25
     assert {0, 2} == set(codes[120:160])
     assert {0, 1, 2} <= set(codes[160:300])
-    assert codes[300:] == [0 if 1 <= g <= MAX_PLETHYSM_G else 2 if g < 1 else 3 for g in gs]
-    assert {0, 2, 3} == set(codes[300:])
+    assert codes[300:315] == [0 if 1 <= g <= MAX_PLETHYSM_G else 2 if g < 1 else 3 for g in gs]
+    assert {0, 2, 3} == set(codes[300:315])
+    assert codes[315:] == [2] * 35
 
 
 def test_help_exits_0(capsys):
@@ -567,6 +634,29 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
                            "grunwald_wang": 0}),
     (("hecke-feasible",), {"cm": _CM_PAIR, "n": 4, "m": {"s0": 1, "s0c": 3},
                            "grunwald_wang": None}),
+    # a string or an object where an array belongs, or an array where an
+    # object belongs, is refused rather than read item by item
+    (("torus-lift",), {"quotient": ["23"], "cocharacter": [1]}),
+    (("torus-lift",), {"quotient": {"23": 0}, "cocharacter": [1]}),
+    (("torus-lift",), {"quotient": [[2, 3]], "cocharacter": "1"}),
+    (("torus-lift",), {"quotient": [[2, 3]], "cocharacter": {"1": 0}}),
+    (("qform-invariants",), [["1", "2"], "23"]),
+    (("qform-invariants",), {"1": 0}),
+    (("clifford-split", "--gram"), ["1"]),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": "10"}}),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": {"1": 0, "0": 0}}}),
+    (_LIFT, {"cm": dict(_CM_REAL, labels="v0"), "mu": {"v0": [1, 0]}}),
+    (_LIFT, {"cm": dict(_CM_REAL, cm_labels="v0"), "mu": {"v0": [1, 0]}}),
+    (_PARAM, {"pairs": {"v1": {"mu": "1", "nu": ["-1"]}}}),
+    (_PARAM, {"pairs": {"v1": {"mu": ["-1"], "nu": "1"}}}),
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, conj=[["s0", "s0c"], ["s0c", "s0"]]),
+                           "n": 4, "m": {"s0": 1, "s0c": 3}}),
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, restrict=[["s0", "s0"], ["s0c", "s0c"]]),
+                           "n": 4, "m": {"s0": 1, "s0c": 3}}),
+    (("galois-char-feasible",), {"cm": dict(_CM_PAIR, cm_conj=[["s0", "s0c"], ["s0c", "s0"]]),
+                                 "n": 2, "k": {"s0": 1, "s0c": 0}}),
+    (("galois-char-feasible",), {"cm": dict(_CM_PAIR, conj="s0"), "n": 2,
+                                 "k": {"s0": 1, "s0c": 0}}),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"

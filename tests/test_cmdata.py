@@ -169,6 +169,12 @@ def test_hecke_invariant_under_relabeling():
 
 
 def test_embedding_data_json_roundtrip():
-    for data in (CMEmbeddingData.totally_real(2), CMEmbeddingData.cm_pairs(2)):
-        back = CMEmbeddingData.from_json(data.to_json())
-        assert back == data
+    ident = {"v0": "v0", "v1": "v1"}
+    real = {"labels": ["v0", "v1"], "conj": ident, "cm_labels": ["v0", "v1"],
+            "restrict": ident, "cm_conj": ident, "mode": "totally_real"}
+    assert CMEmbeddingData.from_json(real) == CMEmbeddingData.totally_real(2)
+    labels = ["s0", "s0c", "s1", "s1c"]
+    conj = {"s0": "s0c", "s0c": "s0", "s1": "s1c", "s1c": "s1"}
+    pairs = {"labels": labels, "conj": conj, "cm_labels": labels,
+             "restrict": {l: l for l in labels}, "cm_conj": conj, "mode": "cm"}
+    assert CMEmbeddingData.from_json(pairs) == CMEmbeddingData.cm_pairs(2)

@@ -71,7 +71,7 @@ def form_lines():
     lines = []
     for g in seeded_grams():
         q = QForm.from_gram(g)
-        lines.append(json.dumps(q.to_json()))
+        lines.append(json.dumps([[str(x) for x in r] for r in q.gram]))
         for f in (diagonalize, invariants, even_clifford_split):
             lines.append(_outcome(f, q))
     return lines

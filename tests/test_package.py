@@ -89,3 +89,22 @@ def test_no_function_takes_a_smith_form():
                 if (p.arg == "form" or annotated) and name != "_check_smith":
                     offenders.append(f"{path.name}:{name}({p.arg})")
     assert offenders == []
+
+
+def test_main_writes_every_report():
+    # each cmd_* handler returns its report and main writes it, so a change to
+    # every report (a stats object, say) has one site; a handler that took the
+    # format or the seed could write or stamp a report of its own
+    tree = ast.parse((Path(liftcalc.__file__).parent / "cli.py").read_text())
+
+    def emit_calls(node):
+        return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_emit" for n in ast.walk(node))
+
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    main = next(f for f in functions if f.name == "main")
+    assert emit_calls(tree) == emit_calls(main) == 1
+    offenders = [f"{f.name}({a.arg})" for f in functions if f.name.startswith("cmd_")
+                 for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)
+                 if a.arg in ("fmt", "seed")]
+    assert offenders == []

@@ -389,11 +389,6 @@ def test_gm_embed_rejects_noncyclic():
         gm_embed(simple_type("D", 4, "sc"))
 
 
-def test_datum_json_roundtrip():
-    rd = gsp_datum(2)
-    assert BasedRootDatum.from_json(rd.to_json()).simple_roots == rd.simple_roots
-
-
 def coroot_table_by_dual_walk(rd):
     """Coroot of every root: a second reflection closure, with the dual datum's reflections."""
     table = {}
