@@ -263,11 +263,11 @@ def _valid_cm(rng):
     if rng.random() < 0.5:
         labels = [f"v{i}" for i in range(k)]
         conj = {l: l for l in labels}
-        return {"labels": labels, "conj": conj, "cm_labels": list(labels),
+        return {"labels": labels, "conj": conj, "cm_labels": labels,
                 "restrict": dict(conj), "cm_conj": dict(conj), "mode": "totally_real"}
     labels = [x for i in range(k) for x in (f"s{i}", f"s{i}c")]
     conj = {l: l[:-1] if l.endswith("c") else l + "c" for l in labels}
-    return {"labels": labels, "conj": conj, "cm_labels": list(labels),
+    return {"labels": labels, "conj": conj, "cm_labels": labels,
             "restrict": {l: l for l in labels}, "cm_conj": dict(conj), "mode": "cm"}
 
 
