@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .intmat import BoundError, InputError, json_array, json_number
+from .intmat import BoundError, InputError, json_array, json_number, rational
 
 # Trial division gives up with BoundError once the divisor passes this
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
@@ -68,10 +68,10 @@ class QForm:
 
         def entry(x):
             if type(x) is not str:
-                return json_number(x, Fraction)
+                return json_number(x, rational)
             f = parsed.get(x)
             if f is None:
-                f = parsed[x] = Fraction(x)
+                f = parsed[x] = rational(x)
             return f
 
         try:

@@ -13,6 +13,7 @@ import liftcalc
 from liftcalc import acceptance
 from liftcalc.cli import main
 from liftcalc.heisenberg import MAX_MODULUS
+from liftcalc.intmat import MAX_LIFT_BITS, MAX_LIFT_DIM
 from liftcalc.lifting import MAX_CLASSIFY_RANK
 from liftcalc.weights import MAX_PLETHYSM_G, MAX_SPIN_RANK
 
@@ -102,6 +103,11 @@ def test_plethysm_bound_exit(capsys):
     assert code == 3
 
 
+def _seeded_quotient(rows, cols, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
 @pytest.mark.parametrize("argv,gram", [
     (("heisenberg-demo", "--n", "400", "--alpha", "1", "--beta", "3"), None),
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
@@ -124,6 +130,14 @@ def test_plethysm_bound_exit(capsys):
     (("dim", "--group", "C1000000000.adjoint", "--weight", "0"), None),
     (("lift-check", "--group", "A16.sc", "--mode", "totally-real", "--hodge"), {}),
     (("param-lift", "--group", "D16.sc", "--recipe", "finite-order"), {}),
+    # a dimension or a witness entry with more digits than an int prints
+    # with is refused, not written as a traceback
+    (("dim", "--group", "C3.sc", "--weight", "1" * 1000 + ",0,0"), None),
+    (("torus-lift",), {"quotient": [[65521, 65519]], "cocharacter": [int("9" * 4300)]}),
+    # a quotient is refused on its shape and entry bits before it is factored
+    (("torus-lift",), {"quotient": _seeded_quotient(58, 60, 58), "cocharacter": [1] * 58}),
+    (("torus-lift",), {"quotient": _seeded_quotient(1, MAX_LIFT_DIM + 1, 1), "cocharacter": [1]}),
+    (("torus-lift",), {"quotient": [[2 ** MAX_LIFT_BITS, 3]], "cocharacter": [1]}),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -158,13 +172,19 @@ def test_bound_exit_3(tmp_path, capsys, argv, gram):
     ("branch",),
     ("dim", "--group", "A1.sc", "--weight", "1/2"),
     ("dim", "--group", "C3.sc", "--weight", "1/2,1/2,1/2"),
+    # an exponent is refused, not expanded into a 20-million-digit integer
+    ("dim", "--group", "C3.sc", "--weight", "1e20000000,0,0"),
+    ("dim", "--group", "C3.sc", "--weight", "2,1,0E0"),
 ])
 def test_argument_errors_exit_2(capsys, argv):
+    start = time.perf_counter()
     code = main(list(argv))
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert elapsed < 2.0
 
 
 def test_unknown_check_lists_valid_ids(capsys):
@@ -566,6 +586,9 @@ def test_malformed_json_exit(tmp_path, capsys):
     code = main(["torus-lift", str(path)])
     capsys.readouterr()
     assert code == 2
+    path.write_bytes(b"\xff\xfe{")   # not UTF-8
+    code = main(["torus-lift", str(path)])
+    assert code == 2 and "cannot read JSON" in capsys.readouterr().err
 
 
 _CM_REAL = {"labels": ["v0"], "conj": {"v0": "v0"}, "cm_labels": ["v0"],
@@ -657,15 +680,26 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
                                  "n": 2, "k": {"s0": 1, "s0c": 0}}),
     (("galois-char-feasible",), {"cm": dict(_CM_PAIR, conj="s0"), "n": 2,
                                  "k": {"s0": 1, "s0c": 0}}),
+    # a string with an exponent is refused, not expanded into a
+    # 20-million-digit integer
+    (_PARAM, {"pairs": {"v0": {"mu": ["1e20000000"], "nu": ["0"]}}}),
+    (_PARAM, {"pairs": {"v0": {"mu": ["1/2"], "nu": ["5E-3"]}}}),
+    (("qform-invariants",), [["1e20000000"]]),
+    (("clifford-split", "--gram"), [["1", "0", "0"], ["0", "1E20000000", "0"], ["0", "0", "1"]]),
+    # an integer past the digit limit of int() is refused while reading the file
+    (("torus-lift",), '{"quotient": [[2, 3]], "cocharacter": [' + "7" * 5000 + "]}"),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    start = time.perf_counter()
     code = main([*argv, str(path)])
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert elapsed < 2.0
 
 
 def test_hecke_grunwald_wang_flag(tmp_path, capsys):

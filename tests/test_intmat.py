@@ -7,6 +7,9 @@ from test_golden_lattice import SOLVER_DIGEST, _digest, solver_lines
 
 from liftcalc import intmat
 from liftcalc.intmat import (
+    MAX_LIFT_BITS,
+    MAX_LIFT_DIM,
+    BoundError,
     FinAbGroup,
     InputError,
     IntMatrix,
@@ -190,6 +193,16 @@ def test_torus_lift_examples():
     w = torus_lift(IntMatrix.from_rows([[2, 3]]), (1,))
     assert w is not None and 2 * w[0] + 3 * w[1] == 1
     assert torus_lift(IntMatrix.from_rows([[2, 3]]), (0,)) == (0, 0)
+
+
+def test_torus_lift_bounds_its_quotient():
+    top = 2 ** MAX_LIFT_BITS - 1
+    row = [top, -top] + [0] * (MAX_LIFT_DIM - 3) + [1]
+    Q = IntMatrix.from_rows([row])
+    assert Q.apply(torus_lift(Q, (5,))) == (5,)
+    for rows in ([row + [0]], [[1, 0]] * (MAX_LIFT_DIM + 1), [[top + 1, 1]], [[1, -top - 1]]):
+        with pytest.raises(BoundError):
+            torus_lift(IntMatrix.from_rows(rows), (5,) * len(rows))
 
 
 def test_torus_lift_rejects_non_surjective():

@@ -25,6 +25,39 @@ def test_layer_import_loads_only_its_dependencies():
     assert out == ["liftcalc", "liftcalc.heisenberg", "liftcalc.intmat"]
 
 
+def _cli_modules(*argv):
+    """(registered, executed) liftcalc modules once a fresh process imports the CLI
+    and, if argv is given, runs main on it.
+
+    A lazily registered layer is a subclass of ModuleType until its first
+    attribute read runs it, so only an executed module is of type ModuleType.
+    """
+    code = ("import contextlib, io, sys, types\n"
+            "from liftcalc.cli import main\n"
+            f"argv = {list(argv)!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "mods = {n: m for n, m in sys.modules.items() if n.startswith('liftcalc')}\n"
+            "print(' '.join(sorted(mods)))\n"
+            "print(' '.join(sorted(n for n, m in mods.items() if type(m) is types.ModuleType)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    return set(out[0].split()), set(out[1].split())
+
+
+def test_cli_executes_only_the_layers_a_subcommand_runs():
+    layers = {f"liftcalc.{m}" for m in (*liftcalc._EXPORTS, "acceptance", "cli")}
+    registered, executed = _cli_modules()
+    assert registered == {"liftcalc", *layers}
+    assert executed == {"liftcalc", "liftcalc.cli", "liftcalc.intmat"}
+    _, executed = _cli_modules("dim", "--group", "C3.sc", "--weight", "2,1,0")
+    assert not executed & {f"liftcalc.{m}" for m in
+                           ("qforms", "heisenberg", "cmdata", "lifting", "acceptance")}
+    _, executed = _cli_modules("heisenberg-demo", "--n", "5", "--alpha", "1", "--beta", "2")
+    assert executed == {"liftcalc", "liftcalc.cli", "liftcalc.intmat", "liftcalc.heisenberg"}
+
+
 def test_no_module_level_cache_dicts():
     # every cache is a functools cache, so cache_clear empties it; a module
     # dict would need clearing of its own
