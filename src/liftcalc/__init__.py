@@ -35,7 +35,6 @@ _EXPORTS = {
         "CMEmbeddingData",
         "galois_char_feasible",
         "hecke_extension_feasible",
-        "validate_cm",
     ),
     "lifting": (
         "HodgeFamily",

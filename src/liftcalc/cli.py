@@ -24,16 +24,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
-from .intmat import (
-    BoundError,
-    InputError,
-    IntMatrix,
-    json_array,
-    json_number,
-    rational,
-    torus_lift,
-)
+from .intmat import BoundError, InputError, IntMatrix, torus_lift
 
 
 def _lazy(name):
@@ -64,24 +57,100 @@ EXIT_INPUT = 2
 EXIT_BOUND = 3
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8 and too many digits
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
-
-
 @contextmanager
 def _payload(name, path):
-    """Yield the JSON payload at path; report key, type and shape errors met parsing it as InputError."""
-    payload = _load_json(path)
+    """Yield the JSON payload at path; report a file that does not read as JSON,
+    and key, type and value errors met parsing the payload, as InputError.
+
+    This is the one site where a malformed payload becomes exit 2.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8 and too many digits
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
     try:
         yield payload
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {name} payload: {exc}") from exc
+
+
+def json_number(x, parse=int):
+    """parse(x) for a JSON integer or string; TypeError for any other value.
+
+    A JSON float is refused rather than truncated or rounded: int(1.5) is
+    1, Fraction(0.1) is the binary value nearest 0.1, and 1e400 is inf.
+    """
+    if type(x) not in (int, str):
+        raise TypeError(f"expected an integer or a string, not {type(x).__name__}")
+    return parse(x)
+
+
+def rational(x) -> Fraction:
+    """Fraction(x) for an integer or a string such as "-3", "1/2" or "0.25".
+
+    A string with an exponent is refused: Fraction("1e20000000") expands
+    the exponent into a 20-million-digit integer and runs without bound.
+    """
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"exponent notation is not accepted: {x!r}")
+    return Fraction(x)
+
+
+def json_array(x):
+    """x for a JSON array; TypeError for any other value.
+
+    A string or an object is iterable too, so without this check "23" would
+    be read as the items 2 and 3 and {"1": 0} as its key.  A scalar gets the
+    message that iterating it gives.
+    """
+    if type(x) is list:
+        return x
+    if isinstance(x, (str, dict)):
+        raise TypeError(f"expected an array, not {type(x).__name__}")
+    raise TypeError(f"{type(x).__name__!r} object is not iterable")
+
+
+def json_matrix(x) -> IntMatrix:
+    """The integer matrix of a JSON array of rows."""
+    return IntMatrix.from_rows([[json_number(v) for v in json_array(r)] for r in json_array(x)])
+
+
+def json_embedding_data(x):
+    """The embedding data of a JSON object; the data check themselves when built."""
+    labels, conj, cm_labels, restrict, cm_conj, mode = (
+        x[k] for k in ("labels", "conj", "cm_labels", "restrict", "cm_conj", "mode"))
+    if any(type(d) is not dict for d in (conj, restrict, cm_conj)):
+        raise TypeError("conj, restrict and cm_conj must be objects")
+    labels, cm_labels = json_array(labels), json_array(cm_labels)
+    # the data hash and compare labels, so each must be a string
+    names = [*labels, *cm_labels, mode]
+    for d in (conj, restrict, cm_conj):
+        names += [*d, *d.values()]
+    if any(type(v) is not str for v in names):
+        raise TypeError("labels and mode must be strings")
+    return cmdata.CMEmbeddingData.make(labels, conj, cm_labels, restrict, cm_conj, mode)
+
+
+def json_gram(x):
+    """The quadratic form of a JSON Gram matrix, each entry parsed once.
+
+    A Gram file repeats few distinct strings, so each distinct string is
+    parsed to one Fraction that its repeats share.
+    """
+    parsed = {}
+
+    def entry(v):
+        if type(v) is not str:
+            return json_number(v, rational)
+        f = parsed.get(v)
+        if f is None:
+            f = parsed[v] = rational(v)
+        return f
+
+    return qforms.QForm.from_gram([[entry(v) for v in json_array(r)] for r in json_array(x)])
 
 
 def _emit(report: dict, fmt: str):
@@ -113,7 +182,8 @@ def _printable(n: int, what: str) -> int:
 def _cqd_from_args(args):
     rd = rootdata.datum_by_name(args.group)
     if args.tilde_embed:
-        embed = IntMatrix.from_json(_load_json(args.tilde_embed))
+        with _payload(args.command, args.tilde_embed) as payload:
+            embed = json_matrix(payload)
     elif args.tilde == "gm":
         embed = rootdata.gm_embed(rd)
     else:
@@ -124,7 +194,7 @@ def _cqd_from_args(args):
 def cmd_lift_check(args):
     cqd = _cqd_from_args(args)
     with _payload("lift-check", args.hodge) as payload:
-        data = cmdata.CMEmbeddingData.from_json(payload["cm"])
+        data = json_embedding_data(payload["cm"])
         h = lifting.HodgeFamily.make(data, {l: tuple(json_number(x) for x in json_array(v))
                                             for l, v in payload["mu"].items()})
     mode = "totally_real" if args.mode == "totally-real" else "imaginary"
@@ -159,7 +229,7 @@ def cmd_classify(args):
 
 def cmd_torus_lift(args):
     with _payload("torus-lift", args.input) as payload:
-        Q = IntMatrix.from_json(payload["quotient"])
+        Q = json_matrix(payload["quotient"])
         lam = tuple(json_number(x) for x in json_array(payload["cocharacter"]))
     lift = torus_lift(Q, lam)
     witness = None if lift is None else [_printable(x, "a witness entry") for x in lift]
@@ -174,7 +244,7 @@ def cmd_torus_lift(args):
 
 def cmd_hecke(args):
     with _payload("hecke-feasible", args.input) as payload:
-        data = cmdata.CMEmbeddingData.from_json(payload["cm"])
+        data = json_embedding_data(payload["cm"])
         n, m = json_number(payload["n"]), {l: json_number(v) for l, v in payload["m"].items()}
         grunwald_wang = payload.get("grunwald_wang", False)
         if type(grunwald_wang) is not bool:
@@ -188,7 +258,7 @@ def cmd_hecke(args):
 
 def cmd_galchar(args):
     with _payload("galois-char-feasible", args.input) as payload:
-        data = cmdata.CMEmbeddingData.from_json(payload["cm"])
+        data = json_embedding_data(payload["cm"])
         n, k = json_number(payload["n"]), {l: json_number(v) for l, v in payload["k"].items()}
     res = cmdata.galois_char_feasible(data, n, k)
     out = {"check": "fractional-weight-character", "seed": args.seed,
@@ -261,7 +331,9 @@ def cmd_dim(args):
 
 
 def cmd_qform(args):
-    inv = qforms.invariants(qforms.QForm.from_json(_load_json(args.gram)))
+    with _payload("Gram matrix", args.gram) as payload:
+        q = json_gram(payload)
+    inv = qforms.invariants(q)
     return {**inv.to_json(), "check": "quadratic-form-invariants", "seed": args.seed}, EXIT_OK
 
 
@@ -269,7 +341,8 @@ def cmd_clifford(args):
     if args.builtin == "k3":
         q = qforms.k3_primitive(args.q_eta)
     elif args.gram:
-        q = qforms.QForm.from_json(_load_json(args.gram))
+        with _payload("Gram matrix", args.gram) as payload:
+            q = json_gram(payload)
     else:
         raise InputError("provide --builtin k3 or a Gram matrix file")
     res = qforms.even_clifford_split(q)

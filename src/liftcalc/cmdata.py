@@ -12,19 +12,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import InputError, json_array
+from .intmat import InputError
 
 MODES = ("totally_real", "cm", "general_imaginary")
 
 
 @dataclass(frozen=True)
 class CMEmbeddingData:
+    """Embedding data, checked against the structural axioms when built."""
+
     labels: tuple
     conj: dict
     cm_labels: tuple
     restrict: dict
     cm_conj: dict
     mode: str
+
+    def __post_init__(self):
+        defect = self._defect()
+        if defect is not None:
+            raise InputError(f"invalid embedding data: {defect}")
+
+    def _defect(self):
+        """The first structural axiom the data break, or None."""
+        if not self.labels:
+            return "label set is empty"
+        if self.mode not in MODES:
+            return f"unknown mode {self.mode!r}"
+        labels = set(self.labels)
+        cm_labels = set(self.cm_labels)
+        conj, cm_conj, restrict = self.conj, self.cm_conj, self.restrict
+        if set(conj) != labels:
+            return "conj is not defined on exactly the labels"
+        if any(conj[l] not in labels for l in labels):
+            return "conj does not map labels to labels"
+        if any(conj[conj[l]] != l for l in labels):
+            return "conj is not an involution"
+        if set(cm_conj) != cm_labels:
+            return "cm_conj is not defined on exactly the cm labels"
+        if any(cm_conj[cm_conj[t]] != t for t in cm_labels):
+            return "cm_conj is not an involution"
+        if set(restrict) != labels:
+            return "restrict is not defined on exactly the labels"
+        if any(restrict[l] not in cm_labels for l in labels):
+            return "restrict does not land in the cm labels"
+        if cm_labels - {restrict[l] for l in labels}:
+            return "restrict is not surjective"
+        for l in labels:
+            if restrict[conj[l]] != cm_conj[restrict[l]]:
+                return f"restrict is not conjugation-equivariant at {l!r}"
+        if self.mode == "totally_real":
+            if any(conj[l] != l for l in labels):
+                return "totally_real mode requires trivial conjugation"
+            if any(cm_conj[t] != t for t in cm_labels):
+                return "totally_real mode requires trivial cm conjugation"
+        if self.mode == "cm":
+            if len({restrict[l] for l in labels}) != len(labels):
+                return "cm mode requires a bijective restriction"
+            if any(cm_conj[t] == t for t in cm_labels):
+                return "cm mode requires fixed-point-free cm conjugation"
+        if self.mode == "general_imaginary":
+            if any(conj[l] == l for l in labels):
+                return "general_imaginary mode requires fixed-point-free conjugation"
+        return None
 
     @staticmethod
     def make(labels, conj, cm_labels, restrict, cm_conj, mode) -> "CMEmbeddingData":
@@ -51,82 +101,13 @@ class CMEmbeddingData:
         return CMEmbeddingData(labels, conj, labels, {l: l for l in labels},
                                dict(conj), "cm")
 
-    @staticmethod
-    def from_json(data) -> "CMEmbeddingData":
-        try:
-            labels, conj, cm_labels, restrict, cm_conj, mode = (
-                data[k] for k in ("labels", "conj", "cm_labels", "restrict", "cm_conj", "mode"))
-            if any(type(d) is not dict for d in (conj, restrict, cm_conj)):
-                raise TypeError("conj, restrict and cm_conj must be objects")
-            out = CMEmbeddingData.make(json_array(labels), conj, json_array(cm_labels),
-                                       restrict, cm_conj, mode)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad embedding data payload: {exc}") from exc
-        # validate_cm hashes and compares labels, so each must be a string
-        names = [*out.labels, *out.cm_labels, out.mode]
-        for d in (out.conj, out.restrict, out.cm_conj):
-            names += [*d, *d.values()]
-        if any(type(x) is not str for x in names):
-            raise InputError("bad embedding data payload: labels and mode must be strings")
-        return out
-
     def complex_labels(self):
         """Labels moved by conjugation (the complex places)."""
         return tuple(l for l in self.labels if self.conj[l] != l)
 
 
-def validate_cm(data: CMEmbeddingData) -> str:
-    """Check the structural axioms; return "ok" or a diagnostic."""
-    if not data.labels:
-        return "label set is empty"
-    if data.mode not in MODES:
-        return f"unknown mode {data.mode!r}"
-    labels = set(data.labels)
-    cm_labels = set(data.cm_labels)
-    if set(data.conj) != labels:
-        return "conj is not defined on exactly the labels"
-    if any(data.conj[l] not in labels for l in labels):
-        return "conj does not map labels to labels"
-    if any(data.conj[data.conj[l]] != l for l in labels):
-        return "conj is not an involution"
-    if set(data.cm_conj) != cm_labels:
-        return "cm_conj is not defined on exactly the cm labels"
-    if any(data.cm_conj[data.cm_conj[t]] != t for t in cm_labels):
-        return "cm_conj is not an involution"
-    if set(data.restrict) != labels:
-        return "restrict is not defined on exactly the labels"
-    if any(data.restrict[l] not in cm_labels for l in labels):
-        return "restrict does not land in the cm labels"
-    if cm_labels - {data.restrict[l] for l in labels}:
-        return "restrict is not surjective"
-    for l in labels:
-        if data.restrict[data.conj[l]] != data.cm_conj[data.restrict[l]]:
-            return f"restrict is not conjugation-equivariant at {l!r}"
-    if data.mode == "totally_real":
-        if any(data.conj[l] != l for l in labels):
-            return "totally_real mode requires trivial conjugation"
-        if any(data.cm_conj[t] != t for t in cm_labels):
-            return "totally_real mode requires trivial cm conjugation"
-    if data.mode == "cm":
-        if len({data.restrict[l] for l in labels}) != len(labels):
-            return "cm mode requires a bijective restriction"
-        if any(data.cm_conj[t] == t for t in cm_labels):
-            return "cm mode requires fixed-point-free cm conjugation"
-    if data.mode == "general_imaginary":
-        if any(data.conj[l] == l for l in labels):
-            return "general_imaginary mode requires fixed-point-free conjugation"
-    return "ok"
-
-
-def _require_valid(data):
-    diag = validate_cm(data)
-    if diag != "ok":
-        raise InputError(f"invalid embedding data: {diag}")
-
-
 def _classes_mod(data, n: int, classes: dict) -> dict:
-    """The classes mod n at the labels of valid data, given at each label and nowhere else."""
-    _require_valid(data)
+    """The classes mod n at the labels, given at each label and nowhere else."""
     if n <= 0:
         raise InputError("modulus must be positive")
     if any(l not in classes for l in data.labels):
@@ -198,17 +179,6 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
         if t in by_cm and by_cm[t] != k[l]:
             return None
         by_cm[t] = k[l]
-
-    if data.mode == "totally_real":
-        vals = set(by_cm.values())
-        if len(vals) > 1:
-            return None
-        k0 = next(iter(vals))
-        w = (2 * k0) % n
-        weights = {l: Fraction(k0, n) for l in data.labels}
-        witness = CharWitness(w, weights)
-        _verify_witness(data, n, k, witness)
-        return witness
 
     # (b) one purity weight across the cm labels
     fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]

@@ -107,18 +107,6 @@ class MonomialRep:
         if gcd(self.alpha, self.n) != 1:
             raise InputError("alpha must be a unit modulo n")
 
-    def rho_A(self) -> Monomial:
-        n = self.n
-        return Monomial(n, tuple((j - 1) % n for j in range(n)), (0,) * n)
-
-    def rho_B(self) -> Monomial:
-        n = self.n
-        return Monomial(n, tuple(range(n)), tuple((j * self.alpha) % n for j in range(n)))
-
-    def rho_Z(self) -> Monomial:
-        n = self.n
-        return Monomial(n, tuple(range(n)), (self.alpha % n,) * n)
-
     def rho(self, g) -> Monomial:
         a, b, c = g
         n = self.n
@@ -136,7 +124,8 @@ def rep_rho(n: int, alpha: int) -> MonomialRep:
 
 def rep_determinant(r: MonomialRep) -> dict:
     """Exact determinants of the images of A, B, Z as (sign, zeta exponent)."""
-    return {"A": r.rho_A().det(), "B": r.rho_B().det(), "Z": r.rho_Z().det()}
+    gens = {"A": (1, 0, 0), "B": (0, 1, 0), "Z": (0, 0, 1)}
+    return {name: r.rho(g).det() for name, g in gens.items()}
 
 
 def determinant_closed_form(n: int, alpha: int) -> dict:

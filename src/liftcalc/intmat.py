@@ -22,42 +22,6 @@ class BoundError(ValueError):
     """A requested computation exceeds its configured feasibility bound."""
 
 
-def json_number(x, parse=int):
-    """parse(x) for a JSON integer or string; TypeError for any other value.
-
-    A JSON float is refused rather than truncated or rounded: int(1.5) is
-    1, Fraction(0.1) is the binary value nearest 0.1, and 1e400 is inf.
-    """
-    if type(x) not in (int, str):
-        raise TypeError(f"expected an integer or a string, not {type(x).__name__}")
-    return parse(x)
-
-
-def rational(x) -> Fraction:
-    """Fraction(x) for an integer or a string such as "-3", "1/2" or "0.25".
-
-    A string with an exponent is refused: Fraction("1e20000000") expands
-    the exponent into a 20-million-digit integer and runs without bound.
-    """
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        raise ValueError(f"exponent notation is not accepted: {x!r}")
-    return Fraction(x)
-
-
-def json_array(x):
-    """x for a JSON array; TypeError for any other value.
-
-    A string or an object is iterable too, so without this check "23" would
-    be read as the items 2 and 3 and {"1": 0} as its key.  A scalar gets the
-    message that iterating it gives.
-    """
-    if type(x) is list:
-        return x
-    if isinstance(x, (str, dict)):
-        raise TypeError(f"expected an array, not {type(x).__name__}")
-    raise TypeError(f"{type(x).__name__!r} object is not iterable")
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix stored row-major."""
@@ -153,14 +117,6 @@ class IntMatrix:
                 if g == 1:
                     return 1
         return g
-
-    @staticmethod
-    def from_json(data) -> "IntMatrix":
-        try:
-            return IntMatrix.from_rows([[json_number(x) for x in json_array(r)]
-                                        for r in json_array(data)])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad matrix payload: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -435,16 +391,26 @@ def invert_unimodular(U: IntMatrix) -> IntMatrix:
     return form.V * form.U
 
 
-# Largest quotient torus_lift factors: at most MAX_LIFT_DIM rows and
-# columns, and entries of at most MAX_LIFT_BITS bits.  The Smith transforms
-# grow with both, and _check_smith multiplies them and takes their
-# determinants.  As fresh processes on a 2-vCPU Xeon with Python 3.11,
-# torus-lift on seeded 24x24 quotients with 16-bit entries takes at most
-# 0.8 s; 32x34 with 16-bit entries takes over 4 s, 10x12 with 256-bit
-# entries over 10 s, and with entries in [-9, 9] 58x60 takes 6.2 s and
-# one of eleven 45x47 quotients runs past 120 s.
+# Largest lattice map torus_lift or central_quotient_data factors: at most
+# MAX_LIFT_DIM rows and columns, and entries of at most MAX_LIFT_BITS bits.
+# The Smith transforms grow with both, and _check_smith multiplies them and
+# takes their determinants.  As fresh processes on a 2-vCPU Xeon with
+# Python 3.11, torus-lift on seeded 24x24 quotients with 16-bit entries
+# takes at most 0.8 s; 32x34 with 16-bit entries takes over 4 s, 10x12 with
+# 256-bit entries over 10 s, and with entries in [-9, 9] 58x60 takes 6.2 s
+# and one of eleven 45x47 quotients runs past 120 s.
 MAX_LIFT_DIM = 24
 MAX_LIFT_BITS = 16
+
+
+def require_lift_size(A: IntMatrix, what: str):
+    """BoundError when A has more than MAX_LIFT_DIM rows or columns or an
+    entry of more than MAX_LIFT_BITS bits; what names A in the message."""
+    if max(A.rows, A.cols) > MAX_LIFT_DIM:
+        raise BoundError(f"a {A.rows}x{A.cols} {what} exceeds the bound "
+                         f"of {MAX_LIFT_DIM} rows and columns")
+    if any(x.bit_length() > MAX_LIFT_BITS for row in A.entries for x in row):
+        raise BoundError(f"a {what} entry exceeds the bound of {MAX_LIFT_BITS} bits")
 
 
 def torus_lift(quotient: IntMatrix, lam) -> tuple | None:
@@ -458,11 +424,7 @@ def torus_lift(quotient: IntMatrix, lam) -> tuple | None:
     past MAX_LIFT_DIM or MAX_LIFT_BITS raises BoundError before it is
     factored.
     """
-    if max(quotient.rows, quotient.cols) > MAX_LIFT_DIM:
-        raise BoundError(f"a {quotient.rows}x{quotient.cols} quotient exceeds the bound "
-                         f"of {MAX_LIFT_DIM} rows and columns")
-    if any(x.bit_length() > MAX_LIFT_BITS for row in quotient.entries for x in row):
-        raise BoundError(f"a quotient entry exceeds the bound of {MAX_LIFT_BITS} bits")
+    require_lift_size(quotient, "quotient")
     lam = tuple(int(x) for x in lam)
     if len(lam) != quotient.rows:
         raise InputError("cocharacter length does not match quotient target rank")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cmdata import CMEmbeddingData, _require_valid, galois_char_feasible
+from .cmdata import CMEmbeddingData, galois_char_feasible
 from .intmat import BoundError, InputError
 from .rootdata import (
     BasedRootDatum,
@@ -42,7 +42,6 @@ class HodgeFamily:
 
     @staticmethod
     def make(data: CMEmbeddingData, mu) -> "HodgeFamily":
-        _require_valid(data)
         mu = {l: tuple(int(x) for x in mu[l]) for l in data.labels}
         if set(mu) != set(data.labels):
             raise InputError("weight family must cover exactly the labels")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .intmat import BoundError, InputError, json_array, json_number, rational
+from .intmat import BoundError, InputError
 
 # Trial division gives up with BoundError once the divisor passes this
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
@@ -27,11 +27,8 @@ class QForm:
 
     @staticmethod
     def from_gram(rows) -> "QForm":
-        return QForm._checked(tuple(tuple(Fraction(x) for x in r) for r in rows))
-
-    @staticmethod
-    def _checked(g: tuple) -> "QForm":
-        """The form of a tuple of Fraction rows, once they are square and symmetric."""
+        """The form of a square symmetric Gram matrix; a Fraction entry is kept as it is."""
+        g = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
@@ -56,29 +53,6 @@ class QForm:
         for i in range(m):
             rows.append([Fraction(0)] * n + list(other.gram[i]))
         return QForm(tuple(tuple(r) for r in rows), n + m)
-
-    @staticmethod
-    def from_json(data) -> "QForm":
-        """The form of a JSON Gram payload, each entry parsed once.
-
-        A Gram file repeats few distinct strings, so each distinct string
-        is parsed to one Fraction that its repeats share.
-        """
-        parsed = {}
-
-        def entry(x):
-            if type(x) is not str:
-                return json_number(x, rational)
-            f = parsed.get(x)
-            if f is None:
-                f = parsed[x] = rational(x)
-            return f
-
-        try:
-            return QForm._checked(tuple(tuple(entry(x) for x in json_array(r))
-                                        for r in json_array(data)))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad Gram matrix payload: {exc}") from exc
 
 
 def diagonalize(q: QForm) -> list:

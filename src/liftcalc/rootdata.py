@@ -24,6 +24,7 @@ from .intmat import (
     congruence_system,
     ext1_to_Z,
     invert_unimodular,
+    require_lift_size,
     smith_normal_form,
     solve_linear,
     solve_rational,
@@ -346,16 +347,12 @@ def sp_datum(g: int) -> BasedRootDatum:
 
 
 def so_odd_datum(n: int) -> BasedRootDatum:
-    """SO_{2n+1} in e coordinates: X = Z^n, roots e_i - e_{i+1} and e_n."""
-    if n < 1:
-        raise InputError("rank must be >= 1")
-    d = sp_datum(n)
-    roots = list(d.simple_roots)
-    coroots = list(d.simple_coroots)
-    roots[-1], coroots[-1] = coroots[-1], roots[-1]
-    rd = BasedRootDatum(n, tuple(roots), tuple(coroots), f"B{n}.adjoint")
-    _require_valid(rd)
-    return rd
+    """SO_{2n+1} in e coordinates, the dual of Sp_2n: X = Z^n, roots e_i - e_{i+1} and e_n.
+
+    Its Cartan matrix is the transpose of Sp_2n's, so it is valid as built.
+    """
+    d = dual(sp_datum(n))
+    return BasedRootDatum(n, d.simple_roots, d.simple_coroots, f"B{n}.adjoint")
 
 
 def gsp_datum(g: int) -> BasedRootDatum:
@@ -492,7 +489,10 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
     ``embed`` gives, column by column, the canonical X(Z_G) coordinates
     (torsion generators first, then free generators) of the restriction
     of each basis character of the torus.  The map must be surjective.
+    An embedding past MAX_LIFT_DIM or MAX_LIFT_BITS raises BoundError
+    before any Smith form is taken.
     """
+    require_lift_size(embed, "embedding")
     _require_valid(rd)
     center = center_characters(rd)
     r0 = len(center.moduli)

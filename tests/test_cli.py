@@ -11,9 +11,10 @@ import pytest
 
 import liftcalc
 from liftcalc import acceptance
-from liftcalc.cli import main
+from liftcalc.cli import json_embedding_data, json_matrix, main
+from liftcalc.cmdata import CMEmbeddingData
 from liftcalc.heisenberg import MAX_MODULUS
-from liftcalc.intmat import MAX_LIFT_BITS, MAX_LIFT_DIM
+from liftcalc.intmat import MAX_LIFT_BITS, MAX_LIFT_DIM, IntMatrix
 from liftcalc.lifting import MAX_CLASSIFY_RANK
 from liftcalc.weights import MAX_PLETHYSM_G, MAX_SPIN_RANK
 
@@ -138,6 +139,9 @@ def _seeded_quotient(rows, cols, seed):
     (("torus-lift",), {"quotient": _seeded_quotient(58, 60, 58), "cocharacter": [1] * 58}),
     (("torus-lift",), {"quotient": _seeded_quotient(1, MAX_LIFT_DIM + 1, 1), "cocharacter": [1]}),
     (("torus-lift",), {"quotient": [[2 ** MAX_LIFT_BITS, 3]], "cocharacter": [1]}),
+    # so is an embedding of the center, before any Smith form
+    (("lift-check", "--group", "C2.sc", "--mode", "totally-real", "--hodge", os.devnull,
+      "--tilde-embed"), [[1] + [2] * 399]),
 ])
 def test_bound_exit_3(tmp_path, capsys, argv, gram):
     if gram is not None:
@@ -591,6 +595,24 @@ def test_malformed_json_exit(tmp_path, capsys):
     assert code == 2 and "cannot read JSON" in capsys.readouterr().err
 
 
+def test_matrix_json_roundtrip():
+    A = IntMatrix.from_rows([[1, -2], [30, 4]])
+    assert json_matrix([["1", "-2"], ["30", "4"]]) == A
+    assert json_matrix([[1, "-2"], ["30", 4]]) == A
+
+
+def test_embedding_data_json_roundtrip():
+    ident = {"v0": "v0", "v1": "v1"}
+    real = {"labels": ["v0", "v1"], "conj": ident, "cm_labels": ["v0", "v1"],
+            "restrict": ident, "cm_conj": ident, "mode": "totally_real"}
+    assert json_embedding_data(real) == CMEmbeddingData.totally_real(2)
+    labels = ["s0", "s0c", "s1", "s1c"]
+    conj = {"s0": "s0c", "s0c": "s0", "s1": "s1c", "s1c": "s1"}
+    pairs = {"labels": labels, "conj": conj, "cm_labels": labels,
+             "restrict": {l: l for l in labels}, "cm_conj": conj, "mode": "cm"}
+    assert json_embedding_data(pairs) == CMEmbeddingData.cm_pairs(2)
+
+
 _CM_REAL = {"labels": ["v0"], "conj": {"v0": "v0"}, "cm_labels": ["v0"],
             "restrict": {"v0": "v0"}, "cm_conj": {"v0": "v0"}, "mode": "totally_real"}
 _CM_PAIR = {"labels": ["s0", "s0c"], "conj": {"s0": "s0c", "s0c": "s0"},
@@ -700,6 +722,33 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv,payload,err", [
+    (("torus-lift",), {"quotient": [["2", "x"]], "cocharacter": [1]},
+     "bad torus-lift payload: invalid literal for int() with base 10: 'x'"),
+    (("torus-lift",), {"quotient": [[2, 3], [1]], "cocharacter": [1, 1]}, "ragged matrix"),
+    (("lift-check", "--group", "C2.sc", "--mode", "totally-real", "--hodge", os.devnull,
+      "--tilde-embed"), ["1"], "bad lift-check payload: expected an array, not str"),
+    (("param-lift", "--group", "A1.sc", "--recipe", "finite-order", os.devnull,
+      "--tilde-embed"), [[1.5]],
+     "bad param-lift payload: expected an integer or a string, not float"),
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, mode=0), "n": 4, "m": {}},
+     "bad hecke-feasible payload: labels and mode must be strings"),
+    (("galois-char-feasible",), {"cm": dict(_CM_PAIR, conj=[])},
+     "bad galois-char-feasible payload: conj, restrict and cm_conj must be objects"),
+    # embedding data check themselves when built, before the rest is read
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, mode="totally_real")},
+     "invalid embedding data: totally_real mode requires trivial conjugation"),
+    (_LIFT, {"cm": dict(_CM_REAL, labels=[])}, "invalid embedding data: label set is empty"),
+    (("qform-invariants",), [["1", "2"], ["3"]], "Gram matrix must be square"),
+    (("clifford-split", "--gram"), [["1/0"]], "bad Gram matrix payload: Fraction(1, 0)"),
+])
+def test_payload_error_messages(tmp_path, capsys, argv, payload, err):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {err}\n"
 
 
 def test_hecke_grunwald_wang_flag(tmp_path, capsys):

@@ -7,7 +7,6 @@ from liftcalc.cmdata import (
     CMEmbeddingData,
     galois_char_feasible,
     hecke_extension_feasible,
-    validate_cm,
 )
 from liftcalc.intmat import InputError
 
@@ -24,9 +23,10 @@ def general_imaginary_example():
 
 
 def test_validate_examples():
-    assert validate_cm(CMEmbeddingData.totally_real(3)) == "ok"
-    assert validate_cm(CMEmbeddingData.cm_pairs(2)) == "ok"
-    assert validate_cm(general_imaginary_example()) == "ok"
+    # embedding data check themselves when built
+    assert CMEmbeddingData.totally_real(3).mode == "totally_real"
+    assert CMEmbeddingData.cm_pairs(2).mode == "cm"
+    assert general_imaginary_example().mode == "general_imaginary"
 
 
 def test_validate_catches_non_equivariant_restrict():
@@ -34,17 +34,17 @@ def test_validate_catches_non_equivariant_restrict():
     conj = {"a": "ac", "ac": "a"}
     cm_labels = ("t", "tc")
     cm_conj = {"t": "tc", "tc": "t"}
-    bad = CMEmbeddingData.make(labels, conj, cm_labels,
-                               {"a": "t", "ac": "t"}, cm_conj, "general_imaginary")
-    assert "equivariant" in validate_cm(bad) or "surjective" in validate_cm(bad)
+    with pytest.raises(InputError, match="invalid embedding data: .*(equivariant|surjective)"):
+        CMEmbeddingData.make(labels, conj, cm_labels,
+                             {"a": "t", "ac": "t"}, cm_conj, "general_imaginary")
 
 
 def test_validate_catches_bad_involution():
     labels = ("a", "b", "c")
     conj = {"a": "b", "b": "c", "c": "a"}
-    bad = CMEmbeddingData.make(labels, conj, labels, {l: l for l in labels},
-                               {l: l for l in labels}, "general_imaginary")
-    assert "involution" in validate_cm(bad)
+    with pytest.raises(InputError, match="invalid embedding data: conj is not an involution"):
+        CMEmbeddingData.make(labels, conj, labels, {l: l for l in labels},
+                             {l: l for l in labels}, "general_imaginary")
 
 
 def test_hecke_cm_always_type_a():
@@ -105,6 +105,23 @@ def test_galchar_totally_real():
     assert ok is not None and ok.purity_weight == 6 % 4
     assert all(w == Fraction(3, 4) for w in ok.weights.values())
     assert galois_char_feasible(data, 4, {"v0": 1, "v1": 1, "v2": 2}) is None
+    # the closed form: classes all equal to k0 give weights k0/n and purity
+    # weight 2 k0 mod n, and any other classes give None
+    rng = random.Random(5150)
+    for _ in range(400):
+        data = CMEmbeddingData.totally_real(rng.randint(1, 4))
+        n = rng.randint(1, 12)
+        k = {l: rng.randrange(-n, 2 * n) for l in data.labels}
+        if rng.random() < 0.4:
+            k = dict.fromkeys(data.labels, rng.randrange(-n, 2 * n))
+        res = galois_char_feasible(data, n, k)
+        classes = {v % n for v in k.values()}
+        if len(classes) > 1:
+            assert res is None
+            continue
+        k0 = classes.pop()
+        assert res.purity_weight == 2 * k0 % n
+        assert res.weights == dict.fromkeys(data.labels, Fraction(k0, n))
 
 
 def test_galchar_not_factoring():
@@ -166,15 +183,3 @@ def test_hecke_invariant_under_relabeling():
         "cm")
     res2 = hecke_extension_feasible(data2, 5, {ren[l]: v for l, v in m.items()})
     assert (base.typeA, base.finite_order) == (res2.typeA, res2.finite_order)
-
-
-def test_embedding_data_json_roundtrip():
-    ident = {"v0": "v0", "v1": "v1"}
-    real = {"labels": ["v0", "v1"], "conj": ident, "cm_labels": ["v0", "v1"],
-            "restrict": ident, "cm_conj": ident, "mode": "totally_real"}
-    assert CMEmbeddingData.from_json(real) == CMEmbeddingData.totally_real(2)
-    labels = ["s0", "s0c", "s1", "s1c"]
-    conj = {"s0": "s0c", "s0c": "s0", "s1": "s1c", "s1c": "s1"}
-    pairs = {"labels": labels, "conj": conj, "cm_labels": labels,
-             "restrict": {l: l for l in labels}, "cm_conj": conj, "mode": "cm"}
-    assert CMEmbeddingData.from_json(pairs) == CMEmbeddingData.cm_pairs(2)

@@ -252,7 +252,7 @@ def projective_centralizer_monomial(r):
     all n! * n^n monomial matrices, so it is for small n only.
     """
     n = r.n
-    rho_a, rho_b = r.rho_A(), r.rho_B()
+    rho_a, rho_b = r.rho((1, 0, 0)), r.rho((0, 1, 0))
     reps = {}
     for perm in permutations(range(n)):
         for exps in product(range(n), repeat=n):
@@ -559,7 +559,7 @@ def test_projective_centralizer(n):
         return (m.perm, tuple((e - m.exps[0]) % n for e in m.exps))
 
     got = {norm(m) for m in cent}
-    a = r.rho_A()
+    a = r.rho((1, 0, 0))
     cur = a
     a_powers = set()
     for _ in range(n):

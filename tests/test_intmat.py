@@ -267,12 +267,6 @@ def test_invert_unimodular():
             invert_unimodular(IntMatrix.from_rows(bad))
 
 
-def test_matrix_json_roundtrip():
-    A = IntMatrix.from_rows([[1, -2], [30, 4]])
-    assert IntMatrix.from_json([["1", "-2"], ["30", "4"]]) == A
-    assert IntMatrix.from_json([[1, "-2"], ["30", 4]]) == A
-
-
 def test_solver_digest_with_cold_and_warm_cache():
     intmat._smith_form.cache_clear()
     assert _digest(solver_lines()) == SOLVER_DIGEST

@@ -141,3 +141,32 @@ def test_main_writes_every_report():
                  for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)
                  if a.arg in ("fmt", "seed")]
     assert offenders == []
+
+
+def test_only_the_cli_reads_json():
+    # each payload is read and its errors reported at one site, the CLI's
+    # _payload; a layer takes values already parsed and checked
+    offenders = []
+    for path in sorted(Path(liftcalc.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                offenders += [f"{path.name}:import {a.name}" for a in node.names
+                              if a.name.split(".")[0] == "json"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                offenders.append(f"{path.name}:from {node.module}")
+            elif isinstance(node, ast.FunctionDef) and node.name == "from_json":
+                offenders.append(f"{path.name}:{node.name}")
+    assert offenders == []
+
+
+def test_no_private_name_is_imported_across_modules():
+    # a private name belongs to its module; a second module that needs it
+    # needs a public name
+    offenders = [f"{path.name}:{a.name}"
+                 for path in sorted(Path(liftcalc.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                 for a in node.names if a.name.startswith("_")]
+    assert offenders == []

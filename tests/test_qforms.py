@@ -23,6 +23,19 @@ from liftcalc.qforms import (
 )
 
 
+def test_from_gram_keeps_fraction_entries():
+    # a parsed Gram file shares one Fraction per distinct entry; wrapping
+    # each again would double the time of a large file
+    half = Fraction(1, 2)
+    q = QForm.from_gram([[half, 0], [0, half]])
+    assert q.gram[0][0] is q.gram[1][1] is half
+    assert q.gram[0][1] == 0 and type(q.gram[0][1]) is Fraction
+    with pytest.raises(InputError, match="Gram matrix must be square"):
+        QForm.from_gram([[1, 2], [3]])
+    with pytest.raises(InputError, match="Gram matrix must be symmetric"):
+        QForm.from_gram([[1, 2], [3, 4]])
+
+
 def test_diagonalize_hyperbolic():
     # explicit change of basis (e+f, e-f) gives <2, -2>, rationally
     # congruent to <1, -1>: same signature, discriminant class, symbols

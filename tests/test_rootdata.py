@@ -450,3 +450,19 @@ def test_datum_name_rank_bound(monkeypatch, name, rank):
     with pytest.raises(BoundError, match="exceeds the bound"):
         datum_by_name(name.format(rank + (2 if name.startswith(("GSp", "SO")) else 1)))
     assert len(built) == 1
+
+
+def test_so_odd_datum_in_e_coordinates():
+    # B_n adjoint, built as the dual of Sp_2n: roots e_i - e_{i+1} and e_n,
+    # coroots e_i - e_{i+1} and 2e_n
+    for n in range(1, MAX_DATUM_RANK + 1):
+        steps = [tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n))
+                 for i in range(n - 1)]
+        e_n = tuple(int(k == n - 1) for k in range(n))
+        want = BasedRootDatum(n, (*steps, e_n), (*steps, tuple(2 * x for x in e_n)),
+                              f"B{n}.adjoint")
+        assert rootdata.so_odd_datum(n) == want
+        if n <= 6:
+            assert validate(want) == "ok"
+    with pytest.raises(InputError, match="rank must be >= 1"):
+        rootdata.so_odd_datum(0)
