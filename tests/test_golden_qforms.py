@@ -21,8 +21,8 @@ CLI_DIGESTS = {
     "qform-zero-diagonal": "f3462ecb3d25375e7fb4201845f225b54218859dc96986cd6d0803a608803ae1",
     "qform-hyperbolic": "2e7b778d3cc530dfce07be691ec307fe9cb38daa59e299d7efb6e37a6bd472fb",
     "qform-degenerate": "ceed2c0aeccb05d01306a2353c50c1e2a8062dcb9c2cf73b337d6480a085db36",
-    "qform-not-square": "23a6bd19dfd67c76376669bb7fed85cdaf4d727a9c349c9f357bb71d77ce732e",
-    "qform-not-symmetric": "27fff0c842ee2d785db82962a1db1d72d091d6379ca4ff064d21757fbc1a9a23",
+    "qform-not-square": "bc71738ada2fb651e00960094d4ded4d90dc79704ff1c639361fde82b47e2026",
+    "qform-not-symmetric": "c938a8318a88013c37256bf6cfa3f63729b2fc1d3c93d83db57fdec41b4222c5",
     "qform-bad-entry": "13cbc3011b9a67dc393c631bc28b522f132aeeb006b0f62667c0f27af6f176bc",
     "qform-not-rows": "d50a8cf9dca5e768796f741b630fe82cd241a58a85a5c1c83169df364f0d8357",
     "clifford-k3": "61795c46d542b00dfc448a305639e442a05ea9ef6b4685baf6e2f0f302fa4fac",
