@@ -29,52 +29,9 @@ class CMEmbeddingData:
     mode: str
 
     def __post_init__(self):
-        defect = self._defect()
-        if defect is not None:
-            raise InputError(f"invalid embedding data: {defect}")
-
-    def _defect(self):
-        """The first structural axiom the data break, or None."""
-        if not self.labels:
-            return "label set is empty"
-        if self.mode not in MODES:
-            return f"unknown mode {self.mode!r}"
-        labels = set(self.labels)
-        cm_labels = set(self.cm_labels)
-        conj, cm_conj, restrict = self.conj, self.cm_conj, self.restrict
-        if set(conj) != labels:
-            return "conj is not defined on exactly the labels"
-        if any(conj[l] not in labels for l in labels):
-            return "conj does not map labels to labels"
-        if any(conj[conj[l]] != l for l in labels):
-            return "conj is not an involution"
-        if set(cm_conj) != cm_labels:
-            return "cm_conj is not defined on exactly the cm labels"
-        if any(cm_conj[cm_conj[t]] != t for t in cm_labels):
-            return "cm_conj is not an involution"
-        if set(restrict) != labels:
-            return "restrict is not defined on exactly the labels"
-        if any(restrict[l] not in cm_labels for l in labels):
-            return "restrict does not land in the cm labels"
-        if cm_labels - {restrict[l] for l in labels}:
-            return "restrict is not surjective"
-        for l in labels:
-            if restrict[conj[l]] != cm_conj[restrict[l]]:
-                return f"restrict is not conjugation-equivariant at {l!r}"
-        if self.mode == "totally_real":
-            if any(conj[l] != l for l in labels):
-                return "totally_real mode requires trivial conjugation"
-            if any(cm_conj[t] != t for t in cm_labels):
-                return "totally_real mode requires trivial cm conjugation"
-        if self.mode == "cm":
-            if len({restrict[l] for l in labels}) != len(labels):
-                return "cm mode requires a bijective restriction"
-            if any(cm_conj[t] == t for t in cm_labels):
-                return "cm mode requires fixed-point-free cm conjugation"
-        if self.mode == "general_imaginary":
-            if any(conj[l] == l for l in labels):
-                return "general_imaginary mode requires fixed-point-free conjugation"
-        return None
+        diag = _diagnostic(self)
+        if diag != "ok":
+            raise InputError(f"invalid embedding data: {diag}")
 
     @staticmethod
     def make(labels, conj, cm_labels, restrict, cm_conj, mode) -> "CMEmbeddingData":
@@ -104,6 +61,49 @@ class CMEmbeddingData:
     def complex_labels(self):
         """Labels moved by conjugation (the complex places)."""
         return tuple(l for l in self.labels if self.conj[l] != l)
+
+
+def _diagnostic(data: CMEmbeddingData) -> str:
+    """Check the structural axioms; return "ok" or a diagnostic."""
+    if not data.labels:
+        return "label set is empty"
+    if data.mode not in MODES:
+        return f"unknown mode {data.mode!r}"
+    labels = set(data.labels)
+    cm_labels = set(data.cm_labels)
+    if set(data.conj) != labels:
+        return "conj is not defined on exactly the labels"
+    if any(data.conj[l] not in labels for l in labels):
+        return "conj does not map labels to labels"
+    if any(data.conj[data.conj[l]] != l for l in labels):
+        return "conj is not an involution"
+    if set(data.cm_conj) != cm_labels:
+        return "cm_conj is not defined on exactly the cm labels"
+    if any(data.cm_conj[data.cm_conj[t]] != t for t in cm_labels):
+        return "cm_conj is not an involution"
+    if set(data.restrict) != labels:
+        return "restrict is not defined on exactly the labels"
+    if any(data.restrict[l] not in cm_labels for l in labels):
+        return "restrict does not land in the cm labels"
+    if cm_labels - {data.restrict[l] for l in labels}:
+        return "restrict is not surjective"
+    for l in labels:
+        if data.restrict[data.conj[l]] != data.cm_conj[data.restrict[l]]:
+            return f"restrict is not conjugation-equivariant at {l!r}"
+    if data.mode == "totally_real":
+        if any(data.conj[l] != l for l in labels):
+            return "totally_real mode requires trivial conjugation"
+        if any(data.cm_conj[t] != t for t in cm_labels):
+            return "totally_real mode requires trivial cm conjugation"
+    if data.mode == "cm":
+        if len({data.restrict[l] for l in labels}) != len(labels):
+            return "cm mode requires a bijective restriction"
+        if any(data.cm_conj[t] == t for t in cm_labels):
+            return "cm mode requires fixed-point-free cm conjugation"
+    if data.mode == "general_imaginary":
+        if any(data.conj[l] == l for l in labels):
+            return "general_imaginary mode requires fixed-point-free conjugation"
+    return "ok"
 
 
 def _classes_mod(data, n: int, classes: dict) -> dict:
