@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -183,3 +185,116 @@ def test_hecke_invariant_under_relabeling():
         "cm")
     res2 = hecke_extension_feasible(data2, 5, {ren[l]: v for l, v in m.items()})
     assert (base.typeA, base.finite_order) == (res2.typeA, res2.finite_order)
+
+
+def mixed_imaginary_data(rng):
+    """general_imaginary data whose cm conjugation has fixed labels next to pairs.
+
+    Each cm orbit receives one or two conjugate pairs of embeddings; over a
+    fixed cm label both members of a pair restrict to it.  Label and cm label
+    orders are shuffled, so no code may rely on them being sorted.
+    """
+    nfixed = rng.randint(0, 2)
+    npairs = rng.randint(0 if nfixed == 2 else 1, 2 if nfixed == 0 else 1)
+    cm_conj = {f"f{i}": f"f{i}" for i in range(nfixed)}
+    for j in range(npairs):
+        cm_conj[f"p{j}"], cm_conj[f"p{j}c"] = f"p{j}c", f"p{j}"
+    conj, restrict = {}, {}
+    for t in sorted(cm_conj):
+        if t > cm_conj[t]:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            a, ac = f"e{len(conj)}", f"e{len(conj) + 1}"
+            conj[a], conj[ac] = ac, a
+            restrict[a], restrict[ac] = rng.sample([t, cm_conj[t]], 2)
+    labels = rng.sample(sorted(conj), len(conj))
+    cm_labels = rng.sample(sorted(cm_conj), len(cm_conj))
+    return CMEmbeddingData.make(labels, conj, cm_labels, restrict, cm_conj,
+                                "general_imaginary")
+
+
+def galois_feasible_by_search(data, n, k):
+    """Brute force: integer lifts l_t = k_t mod n with constant l_t + l_{cm_conj t}.
+
+    The classes must first factor through the restriction.  Lifts in
+    {k_t - n, k_t, k_t + n} (k_t in [0, n)) suffice: a solution with sum S
+    stays one when S moves by 2n, so S may be taken in [0, 2n); then each
+    fixed t has l_t = S/2 = k_t, and each pair may take l_t = k_t and
+    l_tc = S - k_t, which lies in (-n, 2n).
+    """
+    by_cm = {}
+    for l in data.labels:
+        if by_cm.setdefault(data.restrict[l], k[l] % n) != k[l] % n:
+            return False
+    cm = list(data.cm_labels)
+    for lift in product(*[(by_cm[t] - n, by_cm[t], by_cm[t] + n) for t in cm]):
+        l = dict(zip(cm, lift))
+        if len({l[t] + l[data.cm_conj[t]] for t in cm}) == 1:
+            return True
+    return False
+
+
+def mixed_classes(rng, data, n, opposite):
+    """Classes at the labels, often through the restriction, sometimes not.
+
+    With ``opposite`` the classes at conjugate labels are opposite mod n,
+    as hecke_extension_feasible requires.
+    """
+    fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]
+    c = {t: rng.randrange(n) for t in data.cm_labels}
+    if rng.random() < 0.5:
+        k0 = rng.randrange(n)
+        w = 2 * k0 if fixed else rng.randrange(n)
+        for t in sorted(data.cm_labels):
+            tc = data.cm_conj[t]
+            if tc == t:
+                c[t] = k0
+            elif t < tc:
+                c[tc] = w - c[t]
+    k = {l: c[data.restrict[l]] + n * rng.randint(-1, 1) for l in data.labels}
+    if rng.random() < 0.25:
+        k[rng.choice(data.labels)] = rng.randrange(-n, 2 * n)
+    if opposite:
+        for l in sorted(data.labels):
+            if l < data.conj[l]:
+                k[data.conj[l]] = -k[l]
+    return k
+
+
+def test_galchar_mixed_fixed_and_paired_cm_labels():
+    rng = random.Random(20121)
+    digest = hashlib.sha256()
+    feasible = 0
+    for _ in range(1500):
+        data = mixed_imaginary_data(rng)
+        n = rng.randint(2, 6)
+        k = mixed_classes(rng, data, n, opposite=False)
+        res = galois_char_feasible(data, n, k)
+        assert (res is not None) == galois_feasible_by_search(data, n, k)
+        if res is not None:
+            feasible += 1
+            for l in data.labels:
+                assert (res.weights[l] - Fraction(k[l], n)).denominator == 1
+            digest.update(repr((res.purity_weight, sorted(res.weights.items()))).encode())
+        else:
+            digest.update(b"None")
+    assert feasible > 300
+    # the witnesses themselves, pinned: the same inputs give the same weights
+    assert digest.hexdigest() == "d527cf9addad3d789935ac89a09e895a00c6e777de0ec978c93a4e29b7c45004"
+
+
+def test_hecke_mixed_fixed_and_paired_cm_labels():
+    rng = random.Random(20122)
+    seen = set()
+    for _ in range(1500):
+        data = mixed_imaginary_data(rng)
+        n = rng.randint(2, 6)
+        m = mixed_classes(rng, data, n, opposite=True)
+        res = hecke_extension_feasible(data, n, m)
+        classes = {}
+        for l in data.labels:
+            classes.setdefault(data.restrict[l], set()).add(m[l] % n)
+        assert res.typeA == all(len(v) == 1 for v in classes.values())
+        assert res.finite_order == all(m[l] % n == 0 for l in data.labels)
+        seen.add((res.typeA, res.finite_order))
+    assert seen == {(True, True), (True, False), (False, False)}

@@ -353,10 +353,10 @@ def test_cqd_d4_minimal():
 
 def test_cqd_rejects_non_surjective():
     rd = simple_type("A", 2, "sc")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not surjective on character groups"):
         central_quotient_data(rd, IntMatrix.from_rows([[0]]))
     rd2 = sp_datum(2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not surjective on character groups"):
         central_quotient_data(rd2, IntMatrix.from_rows([[2]]))
 
 
