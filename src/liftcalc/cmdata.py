@@ -71,6 +71,10 @@ def _diagnostic(data: CMEmbeddingData) -> str:
         return f"unknown mode {data.mode!r}"
     labels = set(data.labels)
     cm_labels = set(data.cm_labels)
+    if len(labels) != len(data.labels):
+        return "a label is repeated"
+    if len(cm_labels) != len(data.cm_labels):
+        return "a cm label is repeated"
     if set(data.conj) != labels:
         return "conj is not defined on exactly the labels"
     if any(data.conj[l] not in labels for l in labels):
@@ -118,6 +122,15 @@ def _classes_mod(data, n: int, classes: dict) -> dict:
     return {l: int(classes[l]) % n for l in data.labels}
 
 
+def _through_restrict(data, labels, classes: dict) -> dict | None:
+    """The class at each cm label under ``labels``, or None when two classes there differ."""
+    by_cm = {}
+    for l in labels:
+        if by_cm.setdefault(data.restrict[l], classes[l]) != classes[l]:
+            return None
+    return by_cm
+
+
 @dataclass(frozen=True)
 class HeckeFeasibility:
     typeA: bool
@@ -140,14 +153,7 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict,
         if (m[l] + m[data.conj[l]]) % n != 0:
             raise InputError(f"classes at {l!r} and its conjugate are not opposite")
     moved = data.complex_labels()
-    by_cm = {}
-    type_a = True
-    for l in moved:
-        t = data.restrict[l]
-        if t in by_cm and by_cm[t] != m[l]:
-            type_a = False
-            break
-        by_cm[t] = m[l]
+    type_a = _through_restrict(data, moved, m) is not None
     finite = all(m[l] == 0 for l in moved)
     note = "Grunwald-Wang special case flagged by caller" if grunwald_wang_special_case else ""
     return HeckeFeasibility(type_a, finite, note)
@@ -173,47 +179,28 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     k = _classes_mod(data, n, k)
 
     # (a) factor through the restriction
-    by_cm = {}
-    for l in data.labels:
-        t = data.restrict[l]
-        if t in by_cm and by_cm[t] != k[l]:
-            return None
-        by_cm[t] = k[l]
+    by_cm = _through_restrict(data, data.labels, k)
+    if by_cm is None:
+        return None
 
-    # (b) one purity weight across the cm labels
+    # (b) one purity weight across the cm labels; a fixed t adds 2 k_t
     fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]
     sums = {(by_cm[t] + by_cm[data.cm_conj[t]]) % n for t in data.cm_labels}
-    for t in fixed:
-        sums.add((2 * by_cm[t]) % n)
-    if len(sums) != 1:
-        return None
-    if len({by_cm[t] for t in fixed}) > 1:
+    if len(sums) != 1 or len({by_cm[t] for t in fixed}) > 1:
         # totally real directions inside the CM restriction must agree
         return None
     w = next(iter(sums))
 
-    # construct integer lifts: fix a set of representatives mod cm_conj,
-    # lift their classes, and define the conjugates through the weight
+    # integer lifts: each representative t <= cm_conj(t) keeps its class and
+    # its conjugate takes the rest of the weight; a fixed direction pins the
+    # integral weight to 2 k_fixed, which is w mod n (and sets lift[t] = k_t)
+    w_lift = 2 * by_cm[fixed[0]] if fixed else w
     lift = {}
-    for t in sorted(data.cm_labels):
-        if t in lift:
-            continue
+    for t in data.cm_labels:
         tc = data.cm_conj[t]
-        if tc == t:
+        if t <= tc:
             lift[t] = by_cm[t]
-        else:
-            lift[t] = by_cm[t]
-            lift[tc] = w - by_cm[t]
-    if fixed:
-        # a fixed direction pins the integral weight to w/2; rebalance w
-        k0 = by_cm[fixed[0]]
-        w_int = 2 * k0
-        for t in sorted(data.cm_labels):
-            tc = data.cm_conj[t]
-            if tc != t and t < tc:
-                lift[tc] = w_int - lift[t]
-        if (w_int - w) % n != 0:
-            return None
+            lift[tc] = w_lift - by_cm[t]
     weights = {l: Fraction(lift[data.restrict[l]], n) for l in data.labels}
     witness = CharWitness(w, weights)
     _verify_witness(data, n, k, witness)

@@ -68,13 +68,6 @@ class Monomial:
     perm: tuple
     exps: tuple
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        # (M1 M2) e_j = zeta^{E2[j]} M1 e_{P2(j)}
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        exps = tuple((other.exps[j] + self.exps[other.perm[j]]) % self.n
-                     for j in range(self.n))
-        return Monomial(self.n, perm, exps)
-
     def scale(self, k: int) -> "Monomial":
         return Monomial(self.n, self.perm, tuple((e + k) % self.n for e in self.exps))
 

@@ -18,7 +18,6 @@ from .intmat import BoundError, InputError
 from .rootdata import (
     BasedRootDatum,
     CentralQuotientData,
-    center_characters,
     central_quotient_data,
     half_sum_positive_roots,
     longest_element_is_minus_one,
@@ -28,8 +27,8 @@ from .rootdata import (
 
 
 # Largest --max-rank classify_simple_types accepts: validating each datum
-# checks all 2^rank principal minors, and rank 12 takes 7-10 s on a 2-vCPU
-# Xeon with Python 3.11 (rank 13 takes 15-17 s).
+# checks all 2^rank principal minors.  On a 2-vCPU Xeon with Python 3.11,
+# rank 12 takes 4.2-4.6 s as a fresh process (rank 13 takes 10.1-10.6 s).
 MAX_CLASSIFY_RANK = 12
 
 
@@ -42,10 +41,9 @@ class HodgeFamily:
 
     @staticmethod
     def make(data: CMEmbeddingData, mu) -> "HodgeFamily":
-        mu = {l: tuple(int(x) for x in mu[l]) for l in data.labels}
         if set(mu) != set(data.labels):
             raise InputError("weight family must cover exactly the labels")
-        return HodgeFamily(data, mu)
+        return HodgeFamily(data, {l: tuple(int(x) for x in mu[l]) for l in data.labels})
 
 
 def obstruction_classes(cqd: CentralQuotientData, h: HodgeFamily) -> dict:
@@ -249,10 +247,7 @@ def classify_simple_types(max_rank: int = 8) -> list:
     for family, rank in types:
         rd = simple_type(family, rank, "sc")
         cqd = central_quotient_data(rd, minimal_torus_embed(rd))
-        center = center_characters(rd).group
-        if cqd.d != center.invariant_factors:
-            raise AssertionError("normalized invariant factors disagree with the center")
-        two = center.two_torsion()
+        two = cqd.center.group.two_torsion()
         obstruction = not two.is_trivial
         ds = longest_element_is_minus_one(rd)
         rows.append(SimpleTypeRow(

@@ -294,11 +294,9 @@ def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
         raise InputError(f"unknown isogeny type {isogeny!r}")
     name = f"{family}{rank}.{isogeny}"
     if family == "C" and isogeny == "sc" and rank >= 1:
-        rd = sp_datum(rank)
-        return BasedRootDatum(rd.rank, rd.simple_roots, rd.simple_coroots, name)
+        return sp_datum(rank)
     if family == "B" and isogeny == "adjoint" and rank >= 1:
-        rd = so_odd_datum(rank)
-        return BasedRootDatum(rd.rank, rd.simple_roots, rd.simple_coroots, name)
+        return so_odd_datum(rank)
     if family in ("B", "C") and rank == 1:
         # B1 = C1 = A1
         C = cartan_matrix_of_type("A", 1)
@@ -493,7 +491,6 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
     before any Smith form is taken.
     """
     require_lift_size(embed, "embedding")
-    _require_valid(rd)
     center = center_characters(rd)
     r0 = len(center.moduli)
     f0 = center.group.free_rank
@@ -502,12 +499,10 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
             f"embed must have {r0 + f0} rows (canonical generators of the center characters)")
     m = embed.cols
     # surjectivity: together with the relations d_i * gen_i = 0, the columns
-    # of embed must span all of Z^(r0+f0)
-    aug = [list(embed.row(i)) + [center.moduli[i] if j == i else 0 for j in range(r0)]
-           for i in range(r0 + f0)]
-    if not cokernel_invariants(IntMatrix.from_rows(aug)).is_trivial:
-        raise InputError("embedding of the center is not surjective on character groups")
+    # of embed must span all of Z^(r0+f0); the kernel below factors the same matrix
     moduli = tuple(center.moduli) + (0,) * f0
+    if not cokernel_invariants(congruence_system(embed, moduli)).is_trivial:
+        raise InputError("embedding of the center is not surjective on character groups")
     kerb = congruence_kernel_basis(embed, moduli)
     k = len(kerb)
     if k:

@@ -618,6 +618,9 @@ _CM_REAL = {"labels": ["v0"], "conj": {"v0": "v0"}, "cm_labels": ["v0"],
 _CM_PAIR = {"labels": ["s0", "s0c"], "conj": {"s0": "s0c", "s0c": "s0"},
             "cm_labels": ["s0", "s0c"], "restrict": {"s0": "s0", "s0c": "s0c"},
             "cm_conj": {"s0": "s0c", "s0c": "s0"}, "mode": "cm"}
+_CM_REAL2_REPEAT = {"labels": ["v0", "v0", "v1"], "conj": {"v0": "v0", "v1": "v1"},
+                    "cm_labels": ["v0", "v1"], "restrict": {"v0": "v0", "v1": "v1"},
+                    "cm_conj": {"v0": "v0", "v1": "v1"}, "mode": "totally_real"}
 _LIFT = ("lift-check", "--group", "C2.sc", "--tilde", "gm", "--mode", "totally-real", "--hodge")
 _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite-order")
 
@@ -710,6 +713,9 @@ _PARAM = ("param-lift", "--group", "A1.sc", "--tilde", "gm", "--recipe", "finite
     (("clifford-split", "--gram"), [["1", "0", "0"], ["0", "1E20000000", "0"], ["0", "0", "1"]]),
     # an integer past the digit limit of int() is refused while reading the file
     (("torus-lift",), '{"quotient": [[2, 3]], "cocharacter": [' + "7" * 5000 + "]}"),
+    # a repeated embedding label, and a weight at an unknown label, are refused
+    (("galois-char-feasible",), {"cm": _CM_REAL2_REPEAT, "n": 4, "k": {"v0": 1, "v1": 1}}),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1, 0], "zz": [0, 0]}}),
 ])
 def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "payload.json"
@@ -741,6 +747,13 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     (("hecke-feasible",), {"cm": dict(_CM_PAIR, mode="totally_real")},
      "invalid embedding data: totally_real mode requires trivial conjugation"),
     (_LIFT, {"cm": dict(_CM_REAL, labels=[])}, "invalid embedding data: label set is empty"),
+    (("galois-char-feasible",), {"cm": _CM_REAL2_REPEAT, "n": 4, "k": {"v0": 1, "v1": 1}},
+     "invalid embedding data: a label is repeated"),
+    (("hecke-feasible",), {"cm": dict(_CM_PAIR, cm_labels=["s0", "s0c", "s0"])},
+     "invalid embedding data: a cm label is repeated"),
+    (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1, 0], "zz": [0, 0]}},
+     "weight family must cover exactly the labels"),
+    (_LIFT, {"cm": _CM_REAL, "mu": {}}, "weight family must cover exactly the labels"),
     (("qform-invariants",), [["1", "2"], ["3"]], "Gram matrix must be square"),
     (("clifford-split", "--gram"), [["1/0"]], "bad Gram matrix payload: Fraction(1, 0)"),
 ])

@@ -49,6 +49,17 @@ def test_validate_catches_bad_involution():
                              {l: l for l in labels}, "general_imaginary")
 
 
+def test_validate_catches_repeated_labels():
+    # a repeated label would be read as a field of smaller degree
+    ident = {"v0": "v0", "v1": "v1"}
+    with pytest.raises(InputError, match="invalid embedding data: a label is repeated"):
+        CMEmbeddingData.make(["v0", "v0", "v1"], ident, ["v0", "v1"], ident, ident,
+                             "totally_real")
+    with pytest.raises(InputError, match="invalid embedding data: a cm label is repeated"):
+        CMEmbeddingData.make(["v0", "v1"], ident, ["v0", "v1", "v1"], ident, ident,
+                             "totally_real")
+
+
 def test_hecke_cm_always_type_a():
     data = CMEmbeddingData.cm_pairs(2)
     rng = random.Random(0)
