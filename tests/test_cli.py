@@ -747,6 +747,8 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     (("hecke-feasible",), {"cm": dict(_CM_PAIR, mode="totally_real")},
      "invalid embedding data: totally_real mode requires trivial conjugation"),
     (_LIFT, {"cm": dict(_CM_REAL, labels=[])}, "invalid embedding data: label set is empty"),
+    (("qform-invariants",), [["1", "2"], ["3"]], "Gram matrix must be square"),
+    (("clifford-split", "--gram"), [["1/0"]], "bad Gram matrix payload: Fraction(1, 0)"),
     (("galois-char-feasible",), {"cm": _CM_REAL2_REPEAT, "n": 4, "k": {"v0": 1, "v1": 1}},
      "invalid embedding data: a label is repeated"),
     (("hecke-feasible",), {"cm": dict(_CM_PAIR, cm_labels=["s0", "s0c", "s0"])},
@@ -754,8 +756,6 @@ def test_payload_errors_exit_2(tmp_path, capsys, argv, payload):
     (_LIFT, {"cm": _CM_REAL, "mu": {"v0": [1, 0], "zz": [0, 0]}},
      "weight family must cover exactly the labels"),
     (_LIFT, {"cm": _CM_REAL, "mu": {}}, "weight family must cover exactly the labels"),
-    (("qform-invariants",), [["1", "2"], ["3"]], "Gram matrix must be square"),
-    (("clifford-split", "--gram"), [["1/0"]], "bad Gram matrix payload: Fraction(1, 0)"),
 ])
 def test_payload_error_messages(tmp_path, capsys, argv, payload, err):
     path = tmp_path / "payload.json"
