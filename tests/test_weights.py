@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from test_rootdata import coroot_table_by_dual_walk, simple_reflections, weyl_group
 
-from liftcalc.intmat import BoundError, InputError, IntMatrix
+from liftcalc.intmat import BoundError, InputError, IntMatrix, invert_unimodular
 from liftcalc.rootdata import (
     datum_by_name,
     half_sum_positive_roots,
@@ -132,6 +132,63 @@ def test_weyl_character_formula_oracle_sp6():
     assert ms.dimension == 64
 
 
+def weyl_alternants(rd, lam2):
+    """sum_w eps(w) e^{w(rho)} and sum_w eps(w) e^{w(lam + rho)}, in doubled coordinates.
+
+    Each Weyl element w is reached once, by its image of the regular vector
+    2 rho-hat, and eps(w) flips with every simple reflection applied.  The
+    Laurent polynomials are dicts from doubled exponents to coefficients.
+    """
+    W = weyl_group(rd)
+    rho2 = tuple(int(2 * c) for c in half_sum_positive_roots(rd))
+    top2 = tuple(a + b for a, b in zip(lam2, rho2))
+    images = {rho2: (top2, 1)}
+    frontier = [rho2]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            t, sign = images[r]
+            for s in W.generators:
+                r2 = s.apply(r)
+                if r2 not in images:
+                    images[r2] = (s.apply(t), -sign)
+                    nxt.append(r2)
+        frontier = nxt
+    assert len(images) == W.order
+    return ({r: sign for r, (_, sign) in images.items()},
+            {t: sign for t, sign in images.values()})
+
+
+def fundamental_weights(rd):
+    """The weights pairing to delta_ij with the simple coroots of a simply connected datum."""
+    inv = invert_unimodular(IntMatrix.from_rows(rd.simple_coroots))
+    omegas = [inv.col(i) for i in range(rd.rank)]
+    for i, om in enumerate(omegas):
+        assert [sum(a * b for a, b in zip(om, av)) for av in rd.simple_coroots] == \
+            [int(i == j) for j in range(rd.rank)]
+    return omegas
+
+
+@pytest.mark.parametrize("name", [
+    "A1.sc", "A2.sc", "A3.sc", "A4.sc", "B2.sc", "B3.sc", "B4.sc",
+    "C2.sc", "C3.sc", "C4.sc", "D4.sc", "G2.sc",
+    pytest.param("F4.sc", marks=pytest.mark.slow),
+])
+def test_weyl_character_formula_exact(name):
+    # A_{lam + rho} = A_rho * sum_mu m(mu) e^mu as integer Laurent polynomials,
+    # for every fundamental weight lam
+    rd = datum_by_name(name)
+    for om in fundamental_weights(rd):
+        ms = irrep_weight_multiset(rd, om)
+        a_rho, a_top = weyl_alternants(rd, tuple(2 * x for x in om))
+        product_ = {}
+        for r, sign in a_rho.items():
+            for mu, m in ms.doubled:
+                key = tuple(a + b for a, b in zip(r, mu))
+                product_[key] = product_.get(key, 0) + sign * m
+        assert {k: v for k, v in product_.items() if v} == a_top, (name, om)
+
+
 def test_irrep_dominance_required():
     with pytest.raises(InputError):
         irrep_weight_multiset(sp_datum(2), (0, 1))
@@ -174,6 +231,111 @@ def test_freudenthal_golden():
     for name, lam, digest in FREUDENTHAL_GOLDEN:
         ms = irrep_weight_multiset(datum_by_name(name), lam)
         assert hashlib.sha256(repr(ms.doubled).encode()).hexdigest() == digest, (name, lam)
+
+
+def doubled_digest(multisets):
+    """sha256 of the repr of the doubled tuples of a list of multisets."""
+    return hashlib.sha256(repr([ms.doubled for ms in multisets]).encode()).hexdigest()
+
+
+# every dominant Sp_2g weight l_1 >= ... >= l_g >= 0 that the weights-branching
+# benchmark draws: l_1 <= 8, 3, 2 for g = 1, 2, 3, and three weights of Sp8
+SP_BENCH_WEIGHTS = {
+    1: [(a,) for a in range(8, -1, -1)],
+    2: [(a, b) for a in range(3, -1, -1) for b in range(a, -1, -1)],
+    3: [(a, b, c) for a in range(2, -1, -1) for b in range(a, -1, -1) for c in range(b, -1, -1)],
+    4: [(1, 0, 0, 0), (1, 1, 0, 0), (3, 2, 1, 0)],
+}
+
+# doubled_digest of each group of multisets below; any rewrite of the weights
+# layer must reproduce them byte for byte
+SP_IRREP_DIGESTS = {
+    1: "05bd44a8a7741892a47f80ee0c0bc44741ef3f52f4ae3cd5322875145f9179d9",
+    2: "b35ab2534c9f964046fd5b3c707ee4ebf6659dabc5ec3c017ced0906e4b99311",
+    3: "07213583830754c91323cb23ee1a867886dc00d55e92419b921664d08eb53050",
+    4: "c97d5f8f824e138f6ef21aff5a252e45452c25291320867b8c22425d9b39dd06",
+}
+
+
+@pytest.mark.parametrize("g", sorted(SP_IRREP_DIGESTS))
+def test_sp_irrep_digests(g):
+    multisets = [irrep_weight_multiset(sp_datum(g), lam) for lam in SP_BENCH_WEIGHTS[g]]
+    assert doubled_digest(multisets) == SP_IRREP_DIGESTS[g]
+
+
+# spin_weight_multiset(n, family, half) for n = 0, ..., 10
+SPIN_DIGESTS = {
+    ("B", "both"): "6a5e4c63c0d8bd40d13ad983a6a27a1c23e3836c3bcb134e5c7d0dea929f7411",
+    ("D", "plus"): "8f81598cfd277adfc79aac10a854bd187ba12a3728f10050b61c15637879259a",
+    ("D", "minus"): "3f93d87b9abf8a4b93a8d1cf3d59ac55944ea805f4cd1c7c5693b71dc0e6820e",
+    ("D", "both"): "6a5e4c63c0d8bd40d13ad983a6a27a1c23e3836c3bcb134e5c7d0dea929f7411",
+}
+
+
+@pytest.mark.parametrize("family,half", sorted(SPIN_DIGESTS))
+def test_spin_multiset_digests(family, half):
+    multisets = [spin_weight_multiset(n, family, half) for n in range(11)]
+    assert doubled_digest(multisets) == SPIN_DIGESTS[family, half]
+
+
+# both sides of the plethysm identity, before the 2^g scaling:
+# wedge^*(wedge^2 std) and V (x) V with V of highest weight (g-1, ..., 1, 0)
+PLETHYSM_SIDE_DIGESTS = {
+    1: ("6559701bf2396cd5f591a8f90ce40293370be1295d20a027d4470e0ea9f767e1",
+        "0c612a8dd780f822a9ae68983a59171713a6573d01af08f39a9863822f509568"),
+    2: ("2d14c318b645dc1c279aba03118e68342fee1e0e70d542a4ef5c3c297983a3a3",
+        "7d8eca380ae34e1ca80cfef21421d3e5aafd2d886567af028864a976855c93b5"),
+    3: ("003cfd3c04ba40e3869600f818af1d987a7189814a97aadf8090b3f1a2b6b62a",
+        "87ca3786a0f797082f61683f1e87de0e62bc280608b9432d7abd405447d7467c"),
+}
+
+
+@pytest.mark.parametrize("g", sorted(PLETHYSM_SIDE_DIGESTS))
+def test_plethysm_side_digests(g):
+    lhs = sp_standard_multiset(g).exterior_power(2).full_exterior_algebra()
+    V = irrep_weight_multiset(sp_datum(g), tuple(g - 1 - i for i in range(g)))
+    assert (doubled_digest([lhs]), doubled_digest([V.tensor(V)])) == PLETHYSM_SIDE_DIGESTS[g]
+
+
+def seeded_multiset_with_repeats(seed):
+    """A small multiset built from weight draws that repeat, merged by from_doubled."""
+    rng = random.Random(900 + seed)
+    rank = rng.randint(1, 3)
+    return WeightMultiset.from_doubled(rank, [
+        (tuple(rng.randint(-1, 1) for _ in range(rank)), rng.randint(1, 3))
+        for _ in range(rng.randint(3, 6))])
+
+
+# every exterior power k = 0, ..., dimension + 1 of each seeded multiset
+EXTERIOR_POWER_DIGESTS = {
+    0: "e1daf5fc12ad856138295b70ccf1a11f37763c4c3701dacb695d597ebf969f71",
+    1: "89f14cbd10d6d508c7dc2c4c23893c4c920605fbd29146a292f1f0ddd8738c91",
+    2: "5db6ef8f88b390d89186849c72b34989b045264a6b90deec3dc1519a427c0b9b",
+    3: "d787dcfe05482caf7d077c883b1738e5aec219d8d32ed12328d6d8fe5530244b",
+    4: "6ca6f20763cca8941e033b3706a073ec76af94bf93cdf99a2696fee28cd56f6b",
+    5: "a98696e24b2b130e03552d31474cdc3c5aa3e9b72dd9287a59c68c148e470939",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXTERIOR_POWER_DIGESTS))
+def test_exterior_power_digests(seed):
+    ms = seeded_multiset_with_repeats(seed)
+    assert any(m > 1 for _, m in ms.doubled)
+    powers = [ms.exterior_power(k) for k in range(ms.dimension + 2)]
+    assert doubled_digest(powers) == EXTERIOR_POWER_DIGESTS[seed]
+
+
+KUGA_SATAKE_PULLBACK_DIGESTS = {
+    1: "0c612a8dd780f822a9ae68983a59171713a6573d01af08f39a9863822f509568",
+    2: "07aab01a0a83b3ffdc1b8dd2df1e6b87ee7097a8f76a057a94cf5267c2a96022",
+    3: "2f7db4befd135c1ca4cd9e9844aee8362e020695d8697a4a64a9e358affab288",
+    4: "3c314bec6a5a2c9879d12c207c4539e27f622c77237bf30e8bcab8755a9a8323",
+}
+
+
+@pytest.mark.parametrize("g", sorted(KUGA_SATAKE_PULLBACK_DIGESTS))
+def test_kuga_satake_pullback_digests(g):
+    assert doubled_digest([kuga_satake_spin_pullback(g)]) == KUGA_SATAKE_PULLBACK_DIGESTS[g]
 
 
 @pytest.mark.parametrize("name,lam,dim", [
