@@ -112,7 +112,8 @@ class IntMatrix:
         g = 0
         for rowset in combinations(range(self.rows), k):
             for colset in combinations(range(self.cols), k):
-                sub = IntMatrix.from_rows([[self.entries[i][j] for j in colset] for i in rowset])
+                sub = IntMatrix(k, k, tuple(tuple(self.entries[i][j] for j in colset)
+                                            for i in rowset))
                 g = gcd(g, sub.det())
                 if g == 1:
                     return 1

@@ -13,21 +13,23 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb
-from operator import sub
+from operator import add, mul, sub
 
 from .intmat import BoundError, InputError, IntMatrix
 from .rootdata import BasedRootDatum, positive_coroots, positive_roots, sp_datum
 
 # Largest rank spin_weight_multiset accepts: it enumerates 2^rank sign
-# vectors.  ``spin-weights --family B`` takes 2.2 s at rank 15 and 4.4-4.7 s
-# at rank 16 on a 2-vCPU Xeon with Python 3.11.  The restriction of a spin
+# vectors.  ``spin-weights --family B`` takes 1.4-2.2 s at rank 15 and, with
+# the bound raised, 3.1-4.6 s at rank 16 as a fresh process on a 2-vCPU Xeon
+# with Python 3.11, nearly all of it in the report.  The restriction of a spin
 # multiset along a torus map enumerates no sign vectors; it raises instead
 # once it would hold more than 2^MAX_SPIN_RANK distinct partial weights.
 MAX_SPIN_RANK = 15
 
 # Largest g verify_plethysm accepts: the exterior algebra of wedge^2 of the
-# standard representation has dimension 2^(g(2g-1)).  g = 4 (2^28) takes
-# about 0.4 s on a 2-vCPU Xeon with Python 3.11; g = 5 ran past 20 s.
+# standard representation has dimension 2^(g(2g-1)).  ``plethysm-check`` at
+# g = 4 (2^28) takes 0.6-0.7 s as a fresh process on a 2-vCPU Xeon with
+# Python 3.11; g = 5 ran past 20 s.
 MAX_PLETHYSM_G = 4
 
 
@@ -72,7 +74,7 @@ class WeightMultiset:
         acc = {}
         for w1, m1 in self.doubled:
             for w2, m2 in other.doubled:
-                w = tuple(a + b for a, b in zip(w1, w2))
+                w = tuple(map(add, w1, w2))
                 acc[w] = acc.get(w, 0) + m1 * m2
         return WeightMultiset(self.rank, tuple(sorted(acc.items())))
 
@@ -99,10 +101,10 @@ class WeightMultiset:
             new = {}
             for deg, dct in layers.items():
                 for j in range(0, min(m, k - deg) + 1):
-                    c = comb(m, j)
+                    c, jw = comb(m, j), tuple(j * b for b in w)
                     tgt = new.setdefault(deg + j, {})
                     for s, cnt in dct.items():
-                        key = tuple(a + j * b for a, b in zip(s, w))
+                        key = tuple(map(add, s, jw))
                         tgt[key] = tgt.get(key, 0) + cnt * c
             layers = new
         return layers
@@ -114,9 +116,9 @@ class WeightMultiset:
         for w, m in self.doubled:
             new = {}
             for j in range(m + 1):
-                c = comb(m, j)
+                c, jw = comb(m, j), tuple(j * b for b in w)
                 for s, cnt in acc.items():
-                    key = tuple(a + j * b for a, b in zip(s, w))
+                    key = tuple(map(add, s, jw))
                     new[key] = new.get(key, 0) + cnt * c
             acc = new
         return WeightMultiset(self.rank, tuple(sorted(acc.items())))
@@ -127,7 +129,7 @@ class WeightMultiset:
 
 
 def _dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _dominant_doubled(simple_coroots, lam2) -> bool:
@@ -183,10 +185,12 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     root alpha with mu + alpha dominant and <= lam (Stembridge 1998), so
     subtracting positive roots from lam and keeping dominant results
     finds them all.  They are taken in order of the height <lam - mu,
-    rho-check>; m(mu + k alpha) is read off the dominant weight of its
-    Weyl orbit, which is higher than mu, and each alpha-string stops at
-    the first non-weight, since root strings through a weight have no
-    gaps.  The simple reflections then expand each Weyl orbit.
+    rho-check>, and the simple reflections expand each Weyl orbit into one
+    table as soon as its multiplicity is known.  m(mu + k alpha), k >= 1,
+    is one lookup there: the dominant weight of its orbit is higher than
+    mu, so a weight missing from the table is not a weight, and each
+    alpha-string stops at the first one, since root strings through a
+    weight have no gaps.
     """
     return _freudenthal(rd.rank, rd.simple_roots, rd.simple_coroots,
                         _doubled_highest_weight(rd, lam))
@@ -200,44 +204,7 @@ def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
     def norm(v):
         return sum(x * _dot(row, v) for x, row in zip(v, gram))
 
-    def dominant(v):
-        while True:
-            for a, av in simple:
-                p = _dot(v, av)
-                if p < 0:
-                    v = tuple(x - p * y for x, y in zip(v, a))
-                    break
-            else:
-                return v
-
-    dom = [lam2]
-    seen = {lam2}
-    for mu in dom:
-        for a2, _ in pos2:
-            nu = tuple(x - y for x, y in zip(mu, a2))
-            if nu not in seen and _dominant_doubled(simple_coroots, nu):
-                seen.add(nu)
-                dom.append(nu)
-    dom.sort(key=lambda mu: -_dot(mu, rhov2))
-
-    norm_top = norm(tuple(a + b for a, b in zip(lam2, rho2)))
-    mult = {lam2: 1}
-    for mu in dom[1:]:
-        total = 0
-        for a2, ga2 in pos2:
-            w = tuple(x + y for x, y in zip(mu, a2))
-            while (m := mult.get(dominant(w))) is not None:
-                total += m * _dot(w, ga2)
-                w = tuple(x + y for x, y in zip(w, a2))
-        denom = norm_top - norm(tuple(a + b for a, b in zip(mu, rho2)))
-        if total <= 0 or denom <= 0:
-            raise AssertionError("dominant weight below lam without a positive multiplicity")
-        if 2 * total % denom != 0:
-            raise AssertionError("non-integral multiplicity in the recursion")
-        mult[mu] = 2 * total // denom
-
-    full = {}
-    for mu, m in mult.items():
+    def expand(mu, m):
         full[mu] = m
         orbit = [mu]
         for v in orbit:
@@ -248,6 +215,33 @@ def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
                     if img not in full:
                         full[img] = m
                         orbit.append(img)
+
+    dom = [lam2]
+    seen = {lam2}
+    for mu in dom:
+        for a2, _ in pos2:
+            nu = tuple(map(sub, mu, a2))
+            if nu not in seen and _dominant_doubled(simple_coroots, nu):
+                seen.add(nu)
+                dom.append(nu)
+    dom.sort(key=lambda mu: -_dot(mu, rhov2))
+
+    norm_top = norm(tuple(map(add, lam2, rho2)))
+    full = {}
+    expand(lam2, 1)
+    for mu in dom[1:]:
+        total = 0
+        for a2, ga2 in pos2:
+            w = tuple(map(add, mu, a2))
+            while (m := full.get(w)) is not None:
+                total += m * _dot(w, ga2)
+                w = tuple(map(add, w, a2))
+        denom = norm_top - norm(tuple(map(add, mu, rho2)))
+        if total <= 0 or denom <= 0:
+            raise AssertionError("dominant weight below lam without a positive multiplicity")
+        if 2 * total % denom != 0:
+            raise AssertionError("non-integral multiplicity in the recursion")
+        expand(mu, 2 * total // denom)
     return WeightMultiset(rank, tuple(sorted(full.items())))
 
 
@@ -289,17 +283,13 @@ def spin_weight_multiset(n: int, family: str, half: str = "both") -> WeightMulti
     if n > MAX_SPIN_RANK:
         raise BoundError(f"spin rank {n} exceeds the bound {MAX_SPIN_RANK}")
     if n == 0:
-        return WeightMultiset.from_doubled(0, [((), 1)])
-    items = []
-    for signs in product((1, -1), repeat=n):
-        if family == "D" and half != "both":
-            minus = sum(1 for s in signs if s < 0)
-            if half == "plus" and minus % 2 == 1:
-                continue
-            if half == "minus" and minus % 2 == 0:
-                continue
-        items.append((signs, 1))
-    return WeightMultiset.from_doubled(n, items)
+        return WeightMultiset(0, (((), 1),))
+    # product yields each sign vector once, already in sorted order
+    signs = product((-1, 1), repeat=n)
+    if family == "D" and half != "both":
+        parity = 1 if half == "minus" else 0
+        signs = (s for s in signs if s.count(-1) % 2 == parity)
+    return WeightMultiset(n, tuple((s, 1) for s in signs))
 
 
 # ---------------------------------------------------------------------------
