@@ -186,11 +186,11 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     subtracting positive roots from lam and keeping dominant results
     finds them all.  They are taken in order of the height <lam - mu,
     rho-check>, and the simple reflections expand each Weyl orbit into one
-    table as soon as its multiplicity is known.  m(mu + k alpha), k >= 1,
-    is one lookup there: the dominant weight of its orbit is higher than
-    mu, so a weight missing from the table is not a weight, and each
-    alpha-string stops at the first one, since root strings through a
-    weight have no gaps.
+    table as soon as its multiplicity is known.  The orbit of mu + k alpha,
+    k >= 1, has its dominant weight higher than mu, so m(mu + k alpha) is
+    one lookup there, a weight missing from the table is not a weight, and
+    each alpha-string stops at the first one missing, since root strings
+    through a weight have no gaps.
     """
     return _freudenthal(rd.rank, rd.simple_roots, rd.simple_coroots,
                         _doubled_highest_weight(rd, lam))
@@ -203,6 +203,8 @@ def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
 
     def norm(v):
         return sum(x * _dot(row, v) for x, row in zip(v, gram))
+
+    full = {}
 
     def expand(mu, m):
         full[mu] = m
@@ -227,7 +229,6 @@ def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
     dom.sort(key=lambda mu: -_dot(mu, rhov2))
 
     norm_top = norm(tuple(map(add, lam2, rho2)))
-    full = {}
     expand(lam2, 1)
     for mu in dom[1:]:
         total = 0

@@ -181,12 +181,12 @@ def test_weyl_character_formula_exact(name):
     for om in fundamental_weights(rd):
         ms = irrep_weight_multiset(rd, om)
         a_rho, a_top = weyl_alternants(rd, tuple(2 * x for x in om))
-        product_ = {}
+        rhs = {}
         for r, sign in a_rho.items():
             for mu, m in ms.doubled:
                 key = tuple(a + b for a, b in zip(r, mu))
-                product_[key] = product_.get(key, 0) + sign * m
-        assert {k: v for k, v in product_.items() if v} == a_top, (name, om)
+                rhs[key] = rhs.get(key, 0) + sign * m
+        assert {k: v for k, v in rhs.items() if v} == a_top, (name, om)
 
 
 def test_irrep_dominance_required():
