@@ -25,7 +25,6 @@ from liftcalc.rootdata import (
     gl_datum,
     gm_embed,
     gsp_datum,
-    _root_coordinates,
     half_sum_positive_roots,
     longest_element_is_minus_one,
     minimal_torus_embed,
@@ -80,9 +79,13 @@ def weyl_group(rd):
     return WeylGroup(tuple(gens), len(seen))
 
 
+def simple_root_matrix(rd):
+    """The rank x l matrix whose columns are the simple roots."""
+    return IntMatrix.from_rows(list(zip(*rd.simple_roots)) or [[]] * rd.rank)
+
+
 def in_root_lattice(rd, vec):
-    coeffs = _root_coordinates(rd, tuple(int(x) for x in vec))
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    return intmat.solve_linear(simple_root_matrix(rd), tuple(int(x) for x in vec)) is not None
 
 
 def test_validate_sl2():
@@ -323,6 +326,52 @@ def test_longest_element_on_reductive_data(name, semisimple, expected):
     # w0 acts on the root span only, so a central torus must not change the verdict
     assert longest_element_is_minus_one(datum_by_name(name)) is expected
     assert longest_element_is_minus_one(datum_by_name(semisimple)) is expected
+
+
+# every simple type up to rank 8 in both isogenies (B1 = C1 = A1 included),
+# and GL_n, GSp_2g and SO_2n+1 up to semisimple rank 8, with the number of
+# positive roots in closed form and whether w0 = -1 (Bourbaki, Lie VI,
+# Planches: exactly A1, B_n, C_n, D_2k, E7, E8, F4 and G2)
+SIMPLE_RANKS = {"A": range(1, 9), "B": range(1, 9), "C": range(1, 9), "D": range(3, 9),
+                "E": (6, 7, 8), "F": (4,), "G": (2,)}
+EXCEPTIONAL_COUNTS = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
+
+
+def _oracle_data():
+    for family, ranks in SIMPLE_RANKS.items():
+        for n in ranks:
+            count = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n,
+                     "D": n * (n - 1)}.get(family) or EXCEPTIONAL_COUNTS[family, n]
+            minus_one = (family in "BCFG" or (family, n) in (("A", 1), ("E", 7), ("E", 8))
+                         or (family == "D" and n % 2 == 0))
+            for iso in ("sc", "adjoint"):
+                yield f"{family}{n}.{iso}", count, minus_one
+    for n in range(1, 9):
+        yield f"GL{n + 1}", n * (n + 1) // 2, n == 1
+        yield f"GSp{2 * n}", n * n, True
+        yield f"SO{2 * n + 1}", n * n, True
+
+
+ORACLE_DATA = list(_oracle_data())
+
+
+@pytest.mark.parametrize("name,count,minus_one", ORACLE_DATA)
+def test_positive_roots_and_w0_against_closed_forms(name, count, minus_one):
+    rd = datum_by_name(name)
+    pos = positive_roots(rd)
+    assert len(pos) == len(set(pos)) == count
+    M = simple_root_matrix(rd)
+    for b in pos:
+        coords = intmat.solve_linear(M, b)
+        assert coords is not None and min(coords) >= 0 and any(coords)
+    # s_i permutes the positive roots other than alpha_i
+    pos_set = set(pos)
+    for a, av in zip(rd.simple_roots, rd.simple_coroots):
+        for b in pos:
+            if b != a:
+                p = rd.pairing(b, av)
+                assert tuple(x - p * y for x, y in zip(b, a)) in pos_set
+    assert longest_element_is_minus_one(rd) is minus_one
 
 
 def test_cqd_sp2n_gm():
