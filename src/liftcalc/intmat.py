@@ -8,7 +8,6 @@ cocharacters through quotient maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -304,33 +303,19 @@ def ext1_to_Z(G: FinAbGroup) -> FinAbGroup:
     return G.torsion_part()
 
 
-def solve_rational(A: IntMatrix, target) -> tuple | None:
-    """One rational solution x of A x = target, or None when there is none.
-
-    x = V (c / d) with c = U target, read off the Smith normal form of A.
-    Entries of c / d that divide exactly stay ``int``, so an integral
-    solution is built without a ``Fraction``.
-    """
-    form = smith_normal_form(A)
-    c = form.U.apply(target)
-    r = form.rank
-    if any(c[r:]):
-        return None
-    t = [ci // d if ci % d == 0 else Fraction(ci, d)
-         for ci, d in zip(c, form.invariant_factors)]
-    return form.V.apply(t + [0] * (A.cols - r))
-
-
 def solve_linear(A: IntMatrix, target) -> tuple | None:
     """One integer solution x of A x = target, or None.
 
-    The integral case of ``solve_rational``: V is unimodular, so x is
-    integral exactly when c / d is, and no entry is then a ``Fraction``.
+    With c = U target read off the Smith form U A V = D, there is one
+    exactly when c vanishes past the rank and each d_i divides c_i; V is
+    unimodular, so x = V (c_1 / d_1, ..., c_r / d_r, 0, ...) is one then.
     """
-    x = solve_rational(A, target)
-    if x is None or any(isinstance(v, Fraction) for v in x):
+    form = smith_normal_form(A)
+    c = form.U.apply(target)
+    d = form.invariant_factors
+    if any(c[len(d):]) or any(ci % di for ci, di in zip(c, d)):
         return None
-    return x
+    return form.V.apply([ci // di for ci, di in zip(c, d)] + [0] * (A.cols - len(d)))
 
 
 def kernel_basis(A: IntMatrix) -> list:

@@ -27,7 +27,6 @@ from .intmat import (
     require_lift_size,
     smith_normal_form,
     solve_linear,
-    solve_rational,
 )
 
 
@@ -133,42 +132,37 @@ def _positive_roots(rank, simple_roots, simple_coroots):
 
     s_i sends a root b to b - <b, a_i^vee> a_i and its coroot bv to
     bv - <a_i, bv> a_i^vee, so each root found keeps the coroot it came with.
+    Each also keeps its coordinates in the simple roots, of which s_i lowers
+    the i-th by <b, a_i^vee>.  validate has checked that the simple roots are
+    independent, so these coordinates are unique, and b is positive when
+    none of them is negative.
     """
     rd = BasedRootDatum(rank, simple_roots, simple_coroots)
     _require_valid(rd)
+    l = len(simple_roots)
     simple = tuple(zip(simple_roots, simple_coroots))
-    coroot_of = dict(simple)
-    frontier = list(simple)
+    found = {a: (av, tuple(int(i == j) for j in range(l))) for i, (a, av) in enumerate(simple)}
+    frontier = list(found.items())
     while frontier:
         nxt = []
-        for b, bv in frontier:
-            for a, av in simple:
+        for b, (bv, c) in frontier:
+            for i, (a, av) in enumerate(simple):
                 p = rd.pairing(b, av)
                 img = tuple(x - p * y for x, y in zip(b, a))
-                if img not in coroot_of:
+                if img not in found:
                     q = rd.pairing(a, bv)
-                    coroot_of[img] = tuple(x - q * y for x, y in zip(bv, av))
-                    nxt.append((img, coroot_of[img]))
+                    found[img] = (tuple(x - q * y for x, y in zip(bv, av)),
+                                  c[:i] + (c[i] - p,) + c[i + 1:])
+                    nxt.append((img, found[img]))
         frontier = nxt
-    pos = sorted(b for b in coroot_of if _is_positive(rd, b))
-    return tuple(pos), tuple(coroot_of[b] for b in pos)
-
-
-def _is_positive(rd, beta):
-    """Is beta a non-negative rational combination of the simple roots?"""
-    coeffs = _root_coordinates(rd, beta)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    pos = sorted(b for b, (_, c) in found.items() if min(c) >= 0)
+    return tuple(pos), tuple(found[b][0] for b in pos)
 
 
 def _simple_root_matrix(rd):
     """The rank x l matrix whose columns are the simple roots."""
     return IntMatrix(rd.rank, rd.semisimple_rank,
                      tuple(tuple(r[i] for r in rd.simple_roots) for i in range(rd.rank)))
-
-
-def _root_coordinates(rd, vec):
-    """Exact coordinates of vec in the simple-root basis, or None."""
-    return solve_rational(_simple_root_matrix(rd), vec)
 
 
 def half_sum_positive_roots(rd: BasedRootDatum) -> tuple:
@@ -180,27 +174,25 @@ def half_sum_positive_roots(rd: BasedRootDatum) -> tuple:
 def longest_element_is_minus_one(rd: BasedRootDatum) -> bool:
     """Does the longest Weyl element act as -1 on the root span?
 
-    Decided by anti-dominantizing a vector v = sum_j c_j alpha_j of the root
-    span with pairwise distinct coroot pairings (2*rho-hat would not do: w0
-    negates it in every type).  In these coordinates the reflection s_i
-    lowers c_i by <v, alpha_i^vee> = sum_j c_j C[j][i].
+    Decided by anti-dominantizing a vector v of the root span with pairwise
+    distinct coroot pairings (2*rho-hat would not do: w0 negates it in every
+    type).  v is held by its pairings p_i = <v, alpha_i^vee>, which start at
+    (1, ..., l) and determine v, as C is invertible; the reflection s_i
+    sends p to p - p_i C[i].
     """
     _require_valid(rd)
-    l = rd.semisimple_rank
-    if l == 0:
-        return True
     C = rd.cartan_matrix()
-    v = solve_rational(C.transpose(), [i + 1 for i in range(l)])
-    cur = list(v)
+    start = list(range(1, rd.semisimple_rank + 1))
+    p = start
     changed = True
     while changed:
         changed = False
-        for i in range(l):
-            p = sum(cur[j] * C[j, i] for j in range(l))
-            if p > 0:
-                cur[i] -= p
+        for i, row in enumerate(C.entries):
+            if p[i] > 0:
+                pi = p[i]
+                p = [x - pi * c for x, c in zip(p, row)]
                 changed = True
-    return cur == [-x for x in v]
+    return p == [-x for x in start]
 
 
 @dataclass(frozen=True)

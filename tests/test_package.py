@@ -170,3 +170,15 @@ def test_no_private_name_is_imported_across_modules():
                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                  for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_intmat_imports_nothing_from_fractions():
+    # intmat solves over the integers: a solution is read off the Smith form
+    # as V (c_i / d_i) only when every d_i divides c_i
+    tree = ast.parse((Path(liftcalc.__file__).parent / "intmat.py").read_text())
+    offenders = [ast.unparse(node) for node in ast.walk(tree)
+                 if (isinstance(node, ast.Import)
+                     and any(a.name.split(".")[0] == "fractions" for a in node.names))
+                 or (isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "fractions")]
+    assert offenders == []
