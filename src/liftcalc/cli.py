@@ -273,8 +273,9 @@ def cmd_spin_weights(args):
     ms = weights.spin_weight_multiset(args.n, args.family, args.half)
     out = {"check": "spin-weights", "seed": args.seed,
            "dimension": ms.dimension,
-           "weights": [{"weight": [str(x) for x in w], "multiplicity": m}
-                       for w, m in ms.weights()]}
+           # every coordinate is +-1/2, so its doubled value is the numerator
+           "weights": [{"weight": [f"{x}/2" for x in w], "multiplicity": m}
+                       for w, m in ms.doubled]}
     return out, EXIT_OK
 
 

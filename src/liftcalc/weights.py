@@ -19,8 +19,8 @@ from .intmat import BoundError, InputError, IntMatrix
 from .rootdata import BasedRootDatum, positive_coroots, positive_roots, sp_datum
 
 # Largest rank spin_weight_multiset accepts: it enumerates 2^rank sign
-# vectors.  ``spin-weights --family B`` takes 1.4-2.2 s at rank 15 and, with
-# the bound raised, 3.1-4.6 s at rank 16 as a fresh process on a 2-vCPU Xeon
+# vectors.  ``spin-weights --family B`` takes 0.9-1.0 s at rank 15 and, with
+# the bound raised, 1.7-1.8 s at rank 16 as a fresh process on a 2-vCPU Xeon
 # with Python 3.11, nearly all of it in the report.  The restriction of a spin
 # multiset along a torus map enumerates no sign vectors; it raises instead
 # once it would hold more than 2^MAX_SPIN_RANK distinct partial weights.
@@ -53,10 +53,6 @@ class WeightMultiset:
     @property
     def dimension(self) -> int:
         return sum(m for _, m in self.doubled)
-
-    def weights(self):
-        """Pairs (weight as tuple of Fractions, multiplicity)."""
-        return [(tuple(Fraction(x, 2) for x in w), m) for w, m in self.doubled]
 
     def add(self, other: "WeightMultiset") -> "WeightMultiset":
         if self.rank != other.rank:

@@ -8,7 +8,7 @@ from liftcalc.weights import irrep_weight_multiset, weyl_dimension
 
 def multiplicity(ms, weight):
     """The multiplicity of a weight, 0 when it is absent."""
-    return dict(ms.weights()).get(tuple(weight), 0)
+    return dict(ms.doubled).get(tuple(2 * x for x in weight), 0)
 
 
 @pytest.mark.parametrize("name,count", [
