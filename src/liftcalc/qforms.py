@@ -82,30 +82,18 @@ def diagonalize(q: QForm) -> list:
                 for r in m:
                     r[i], r[swap] = r[swap], r[i]
             else:
-                found = None
-                for k in range(i, n):
-                    for l in range(i, n):
-                        if k != l and m[k][l] != 0:
-                            found = (k, l)
-                            break
-                    if found:
-                        break
-                if found is None:
+                # the trailing block is the Schur complement up to positive row
+                # scales, so a zero row in it makes the form degenerate
+                l = next((l for l in range(i + 1, n) if m[i][l] != 0), None)
+                if l is None:
                     raise InputError("degenerate form")
-                k, l = found
-                # basis v_k += v_l makes the (k, k) entry 2 * m[k][l]
-                dk, dl = den[k], den[l]
-                m[k] = [a * dl + b * dk for a, b in zip(m[k], m[l])]
-                den[k] = dk * dl
+                # basis v_i += v_l makes the (i, i) entry 2 * m[i][l]
+                di, dl = den[i], den[l]
+                m[i] = [a * dl + b * di for a, b in zip(m[i], m[l])]
+                den[i] = di * dl
                 for r in m:
-                    r[k] += r[l]
-                m[i], m[k] = m[k], m[i]
-                den[i], den[k] = den[k], den[i]
-                for r in m:
-                    r[i], r[k] = r[k], r[i]
+                    r[i] += r[l]
         p = m[i][i]
-        if p == 0:
-            raise InputError("degenerate form")
         diag.append(Fraction(p, den[i]))
         # row_k - (r / p) pivot over den_k is (p row_k - r pivot) / (p den_k):
         # the pivot row's own denominator cancels
