@@ -188,8 +188,8 @@ def longest_element_is_minus_one(rd: BasedRootDatum) -> bool:
     while changed:
         changed = False
         for i, row in enumerate(C.entries):
-            if p[i] > 0:
-                pi = p[i]
+            pi = p[i]
+            if pi > 0:
                 p = [x - pi * c for x, c in zip(p, row)]
                 changed = True
     return p == [-x for x in start]
