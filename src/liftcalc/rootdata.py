@@ -230,6 +230,10 @@ def center_characters(rd: BasedRootDatum) -> CenterMap:
 
 # ---------------------------------------------------------------------------
 # built-in simple types
+#
+# The builders below are functools caches: a datum is immutable, so each
+# standard one is built and validated once per process.  A builder that
+# raises caches nothing.
 
 
 def _chain_cartan(n):
@@ -271,6 +275,7 @@ def cartan_matrix_of_type(family: str, rank: int):
     raise InputError(f"invalid simple type {family}{rank}")
 
 
+@cache
 def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
     """Standard based root datum for a simple type.
 
@@ -314,6 +319,7 @@ def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
 MAX_DATUM_RANK = 14
 
 
+@cache
 def sp_datum(g: int) -> BasedRootDatum:
     """Sp_2g in e coordinates: X = Z^g, roots e_i - e_{i+1} and 2e_g."""
     if g < 1:
@@ -336,6 +342,7 @@ def sp_datum(g: int) -> BasedRootDatum:
     return rd
 
 
+@cache
 def so_odd_datum(n: int) -> BasedRootDatum:
     """SO_{2n+1} in e coordinates, the dual of Sp_2n: X = Z^n, roots e_i - e_{i+1} and e_n.
 
@@ -345,6 +352,7 @@ def so_odd_datum(n: int) -> BasedRootDatum:
     return BasedRootDatum(n, d.simple_roots, d.simple_coroots, f"B{n}.adjoint")
 
 
+@cache
 def gsp_datum(g: int) -> BasedRootDatum:
     """GSp_2g: X = Z e_1 + ... + Z e_g + Z e_0, similitude in the last slot."""
     base = sp_datum(g)
@@ -356,6 +364,7 @@ def gsp_datum(g: int) -> BasedRootDatum:
     return rd
 
 
+@cache
 def gl_datum(n: int) -> BasedRootDatum:
     """GL_n: X = Z^n, roots e_i - e_{i+1}, coroots the same."""
     if n < 1:

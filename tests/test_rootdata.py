@@ -293,6 +293,53 @@ def test_simple_type_rejects_bad_input():
         simple_type("A", 1, "isogenous")
 
 
+BUILDERS = ("simple_type", "sp_datum", "so_odd_datum", "gsp_datum", "gl_datum")
+
+
+def test_standard_data_are_built_once():
+    assert sp_datum(2) is sp_datum(2)
+    assert datum_by_name("C2.sc") is sp_datum(2)
+    assert simple_type("C", 2, "sc") is sp_datum(2)
+    assert datum_by_name("SO7") is rootdata.so_odd_datum(3)
+    assert datum_by_name("GSp6") is gsp_datum(3)
+    assert datum_by_name("GL4") is gl_datum(4)
+    assert datum_by_name("E6.sc") is simple_type("E", 6, "sc")
+
+
+def test_each_standard_datum_is_validated_once(monkeypatch):
+    for builder in BUILDERS:
+        getattr(rootdata, builder).cache_clear()
+    seen = []
+    real = rootdata.validate
+
+    def counting(rd):
+        seen.append((rd.rank, rd.simple_roots, rd.simple_coroots))
+        return real(rd)
+
+    monkeypatch.setattr(rootdata, "validate", counting)
+    for _ in range(3):
+        for name in ("C3.sc", "B3.adjoint", "SO7", "GSp4", "GL3", "A2.sc", "E6.adjoint",
+                     "C2.sc", "B1.sc"):
+            datum_by_name(name)
+        sp_datum(3)
+        simple_type("c", 3, "sc")
+        gsp_datum(2)
+    # C3.sc (behind B3.adjoint and SO7 too), GSp4 and the C2.sc inside it,
+    # GL3, A2.sc, E6.adjoint and B1.sc
+    assert len(seen) == len(set(seen)) == 7
+
+
+@pytest.mark.parametrize("build,args", [
+    (sp_datum, (0,)), (gl_datum, (0,)), (simple_type, ("A", 0, "sc")),
+    (gsp_datum, (0,)), (rootdata.so_odd_datum, (0,)), (simple_type, ("A", 2, "isogenous")),
+])
+def test_invalid_builder_arguments_raise_on_every_call(build, args):
+    # functools caches keep no exception, so a bad argument never becomes a datum
+    for _ in range(3):
+        with pytest.raises(InputError):
+            build(*args)
+
+
 @pytest.mark.parametrize("name", ["A2.sc", "C2.sc", "B3.adjoint", "D4.sc", "GSp4"])
 def test_weyl_translates_stay_in_root_lattice(name):
     rd = datum_by_name(name)
