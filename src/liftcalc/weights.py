@@ -135,12 +135,13 @@ def _dominant_doubled(simple_coroots, lam2) -> bool:
 def _doubled_highest_weight(rd: BasedRootDatum, lam) -> tuple:
     """2 lam as integers, once lam has the datum's rank, is half-integral and
     dominant, and pairs to an integer with every simple coroot."""
-    lam2 = tuple(2 * Fraction(x) for x in lam)
+    # an int doubles as it is; anything else (bool included) goes through Fraction
+    lam2 = tuple(2 * x if type(x) is int else 2 * Fraction(x) for x in lam)
     if len(lam2) != rd.rank:
         raise InputError(f"highest weight has length {len(lam2)} but the datum has rank {rd.rank}")
     if any(d.denominator != 1 for d in lam2):
         raise InputError("highest weight must be at most half-integral")
-    lam2 = tuple(int(d) for d in lam2)
+    lam2 = tuple(map(int, lam2))
     pairings = [_dot(lam2, av) for av in rd.simple_coroots]
     if any(p < 0 for p in pairings):
         raise InputError("highest weight must be dominant")
@@ -173,7 +174,8 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     """Weight multiset of the irreducible with highest weight lam (Freudenthal).
 
     ``lam`` may be half-integral (spin weights); internally everything is
-    doubled.  Results are memoized per datum and highest weight.
+    doubled, an int entry as it is and any other through ``Fraction``.
+    Results are memoized per datum and highest weight.
 
     The recursion visits dominant weights only (Moody-Patera, "Fast
     recursion formula for weight multiplicities", Bull. AMS 7, 1982).
@@ -182,7 +184,9 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     subtracting positive roots from lam and keeping dominant results
     finds them all.  They are taken in order of the height <lam - mu,
     rho-check>, and the simple reflections expand each Weyl orbit into one
-    table as soon as its multiplicity is known.  The orbit of mu + k alpha,
+    table as soon as its multiplicity is known.  The walk holds each orbit
+    element with its simple-coroot pairings, on which s_i subtracts a
+    multiple of row i of the Cartan matrix.  The orbit of mu + k alpha,
     k >= 1, has its dominant weight higher than mu, so m(mu + k alpha) is
     one lookup there, a weight missing from the table is not a weight, and
     each alpha-string stops at the first one missing, since root strings
@@ -195,24 +199,33 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
 @cache
 def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
     pos2, gram, rho2, rhov2, _ = _freudenthal_tables(rank, simple_roots, simple_coroots)
-    simple = tuple(zip(simple_roots, simple_coroots))
 
     def norm(v):
         return sum(x * _dot(row, v) for x, row in zip(v, gram))
 
+    @cache
+    def step(i, p):
+        # what s_i takes off a weight pairing to p with alpha_i^vee, and off
+        # its pairings: p alpha_i and p C[i], C[i] the pairings of alpha_i
+        a = simple_roots[i]
+        return (tuple(p * y for y in a),
+                tuple(p * _dot(a, av) for av in simple_coroots))
+
     full = {}
 
     def expand(mu, m):
+        # each orbit element v carries its simple-coroot pairings pv, which
+        # s_i sends to pv - pv[i] C[i]: the walk takes no dot product
         full[mu] = m
-        orbit = [mu]
-        for v in orbit:
-            for a, av in simple:
-                p = _dot(v, av)
+        orbit = [(mu, tuple(_dot(mu, av) for av in simple_coroots))]
+        for v, pv in orbit:
+            for i, p in enumerate(pv):
                 if p > 0:
-                    img = tuple(x - p * y for x, y in zip(v, a))
+                    da, dp = step(i, p)
+                    img = tuple(map(sub, v, da))
                     if img not in full:
                         full[img] = m
-                        orbit.append(img)
+                        orbit.append((img, tuple(map(sub, pv, dp))))
 
     dom = [lam2]
     seen = {lam2}

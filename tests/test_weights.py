@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from test_rootdata import coroot_table_by_dual_walk, simple_reflections, weyl_group
 
+from liftcalc import weights
 from liftcalc.intmat import BoundError, InputError, IntMatrix, invert_unimodular
 from liftcalc.rootdata import (
     datum_by_name,
@@ -723,6 +724,73 @@ def test_half_integral_weights_on_the_weight_lattice_are_kept():
     # (1/2, 1/2) pairs to 0 with the GL2 coroot, and (1/2,)*3 is the B3 spin weight
     assert weyl_dimension(datum_by_name("GL2"), (Fraction(1, 2), Fraction(1, 2))) == 1
     assert irrep_weight_multiset(datum_by_name("B3.adjoint"), (Fraction(1, 2),) * 3).dimension == 8
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("C3.sc", (2, 1, 0)), ("C4.sc", (3, 2, 1, 0)), ("G2.sc", (1, 1)), ("GL3", (2, 0, -1)),
+    ("GSp4", (1, 0, 0)), ("B3.adjoint", (1, 1, 0)), ("A3.sc", (0, 2, 1)),
+])
+def test_integer_and_fraction_weights_agree(name, lam):
+    # the int route doubles the weight as it is; the Fraction route must give
+    # the same doubled tuple of ints, hence the same multiset and dimension
+    rd = datum_by_name(name)
+    forms = [lam, tuple(map(Fraction, lam)),
+             tuple(Fraction(x) if i % 2 else x for i, x in enumerate(lam))]
+    doubled, multisets, dims = set(), set(), set()
+    for form in forms:
+        lam2 = weights._doubled_highest_weight(rd, form)
+        assert all(type(x) is int for x in lam2)
+        doubled.add(lam2)
+        weights._freudenthal.cache_clear()
+        multisets.add(irrep_weight_multiset(rd, form).doubled)
+        dims.add(weyl_dimension(rd, form))
+    assert doubled == {tuple(2 * x for x in lam)}
+    assert len(multisets) == len(dims) == 1
+    assert dims == {sum(m for _, m in next(iter(multisets)))}
+
+
+@pytest.mark.parametrize("lam,message", [
+    ((1, 2), "highest weight has length 2 but the datum has rank 3"),
+    ((Fraction(1, 3), 0), "highest weight has length 2 but the datum has rank 3"),
+    ((1, 0, 0, Fraction(1, 3)), "highest weight has length 4 but the datum has rank 3"),
+    ((1, Fraction(1, 3), 0), "highest weight must be at most half-integral"),
+    ((1, 0.25, 0), "highest weight must be at most half-integral"),
+    ((1, 2, 0), "highest weight must be dominant"),
+    ((Fraction(1, 2), 0, 0), "highest weight must pair to an integer with every simple coroot"),
+])
+def test_weight_errors_keep_their_order_on_both_routes(lam, message):
+    # a length mismatch is reported before a weight off the half-integers
+    rd = datum_by_name("C3.sc")
+    for fn in (weyl_dimension, irrep_weight_multiset):
+        with pytest.raises(InputError) as info:
+            fn(rd, lam)
+        assert str(info.value) == message
+
+
+class _Int(int):
+    """An int subclass: not an int by type, so it takes the Fraction route."""
+
+
+def test_only_plain_ints_skip_fraction(monkeypatch):
+    converted = []
+    real = weights.Fraction
+
+    def spy(x):
+        converted.append(x)
+        return real(x)
+
+    monkeypatch.setattr(weights, "Fraction", spy)
+    rd = datum_by_name("C3.sc")
+    assert weights._doubled_highest_weight(rd, (2, 1, 0)) == (4, 2, 0)
+    assert converted == []
+    lam = (2, True, False)
+    assert weights._doubled_highest_weight(rd, lam) == (4, 2, 0)
+    assert converted == [True, False]
+    converted.clear()
+    lam = (_Int(2), 1, real(1, 2) * 0, "0")
+    assert weights._doubled_highest_weight(datum_by_name("GSp6"), lam) == (4, 2, 0, 0)
+    assert converted == [lam[0], lam[2], "0"]
+    assert irrep_weight_multiset(rd, (2, True, False)) == irrep_weight_multiset(rd, (2, 1, 0))
 
 
 # The restriction of a spin multiset is a convolution; the enumeration of
