@@ -210,9 +210,11 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
 def _verify_witness(data, n, k, witness):
     """Re-check both criteria exactly on the produced weight family."""
     weights = witness.weights
+    least = {}   # restriction class -> its least label
+    for x in sorted(data.labels):
+        least.setdefault(data.restrict[x], x)
     for l in data.labels:
-        if weights[l] != weights[sorted(
-                x for x in data.labels if data.restrict[x] == data.restrict[l])[0]]:
+        if weights[l] != weights[least[data.restrict[l]]]:
             raise AssertionError("witness does not factor through the restriction")
         if (weights[l] - Fraction(k[l], n)).denominator != 1:
             raise AssertionError("witness does not reduce to the input classes")
