@@ -293,9 +293,6 @@ def test_simple_type_rejects_bad_input():
         simple_type("A", 1, "isogenous")
 
 
-BUILDERS = ("simple_type", "sp_datum", "so_odd_datum", "gsp_datum", "gl_datum")
-
-
 def test_standard_data_are_built_once():
     assert sp_datum(2) is sp_datum(2)
     assert datum_by_name("C2.sc") is sp_datum(2)
@@ -307,7 +304,7 @@ def test_standard_data_are_built_once():
 
 
 def test_each_standard_datum_is_validated_once(monkeypatch):
-    for builder in BUILDERS:
+    for builder in ("simple_type", "sp_datum", "so_odd_datum", "gsp_datum", "gl_datum"):
         getattr(rootdata, builder).cache_clear()
     seen = []
     real = rootdata.validate
