@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import combinations
 
 from .intmat import (
@@ -231,9 +231,11 @@ def center_characters(rd: BasedRootDatum) -> CenterMap:
 # ---------------------------------------------------------------------------
 # built-in simple types
 #
-# The builders below are functools caches: a datum is immutable, so each
-# standard one is built and validated once per process.  A builder that
-# raises caches nothing.
+# A datum is immutable, so each public builder below hands its arguments to a
+# private functools cache and each standard datum is built and validated once
+# per process.  The caches are typed, so 2 and 2.0 are separate keys, and
+# simple_type upper-cases the family first, so "e" and "E" are one.  A
+# builder that raises caches nothing.
 
 
 def _chain_cartan(n):
@@ -275,7 +277,6 @@ def cartan_matrix_of_type(family: str, rank: int):
     raise InputError(f"invalid simple type {family}{rank}")
 
 
-@cache
 def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
     """Standard based root datum for a simple type.
 
@@ -286,7 +287,11 @@ def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
     standard basis) or the root basis (adjoint: roots are the standard
     basis), built from the Cartan matrix.
     """
-    family = family.upper()
+    return _simple_type(family.upper(), rank, isogeny)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _simple_type(family, rank, isogeny):
     if isogeny not in ("sc", "adjoint"):
         raise InputError(f"unknown isogeny type {isogeny!r}")
     name = f"{family}{rank}.{isogeny}"
@@ -319,9 +324,13 @@ def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
 MAX_DATUM_RANK = 14
 
 
-@cache
 def sp_datum(g: int) -> BasedRootDatum:
     """Sp_2g in e coordinates: X = Z^g, roots e_i - e_{i+1} and 2e_g."""
+    return _sp_datum(g)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _sp_datum(g):
     if g < 1:
         raise InputError("rank must be >= 1")
     roots = []
@@ -342,19 +351,27 @@ def sp_datum(g: int) -> BasedRootDatum:
     return rd
 
 
-@cache
 def so_odd_datum(n: int) -> BasedRootDatum:
     """SO_{2n+1} in e coordinates, the dual of Sp_2n: X = Z^n, roots e_i - e_{i+1} and e_n.
 
     Its Cartan matrix is the transpose of Sp_2n's, so it is valid as built.
     """
+    return _so_odd_datum(n)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _so_odd_datum(n):
     d = dual(sp_datum(n))
     return BasedRootDatum(n, d.simple_roots, d.simple_coroots, f"B{n}.adjoint")
 
 
-@cache
 def gsp_datum(g: int) -> BasedRootDatum:
     """GSp_2g: X = Z e_1 + ... + Z e_g + Z e_0, similitude in the last slot."""
+    return _gsp_datum(g)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _gsp_datum(g):
     base = sp_datum(g)
     roots = [tuple(list(r) + [0]) for r in base.simple_roots]
     roots[-1] = tuple([0] * (g - 1) + [2, -1])
@@ -364,9 +381,13 @@ def gsp_datum(g: int) -> BasedRootDatum:
     return rd
 
 
-@cache
 def gl_datum(n: int) -> BasedRootDatum:
     """GL_n: X = Z^n, roots e_i - e_{i+1}, coroots the same."""
+    return _gl_datum(n)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _gl_datum(n):
     if n < 1:
         raise InputError(f"GL_n needs n >= 1, got {n}")
     roots = []

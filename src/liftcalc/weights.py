@@ -135,13 +135,12 @@ def _dominant_doubled(simple_coroots, lam2) -> bool:
 def _doubled_highest_weight(rd: BasedRootDatum, lam) -> tuple:
     """2 lam as integers, once lam has the datum's rank, is half-integral and
     dominant, and pairs to an integer with every simple coroot."""
-    # an int doubles as it is; anything else (bool included) goes through Fraction
-    lam2 = tuple(2 * x if type(x) is int else 2 * Fraction(x) for x in lam)
+    lam2 = tuple(2 * Fraction(x) for x in lam)
     if len(lam2) != rd.rank:
         raise InputError(f"highest weight has length {len(lam2)} but the datum has rank {rd.rank}")
     if any(d.denominator != 1 for d in lam2):
         raise InputError("highest weight must be at most half-integral")
-    lam2 = tuple(map(int, lam2))
+    lam2 = tuple(int(d) for d in lam2)
     pairings = [_dot(lam2, av) for av in rd.simple_coroots]
     if any(p < 0 for p in pairings):
         raise InputError("highest weight must be dominant")
@@ -174,8 +173,7 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     """Weight multiset of the irreducible with highest weight lam (Freudenthal).
 
     ``lam`` may be half-integral (spin weights); internally everything is
-    doubled, an int entry as it is and any other through ``Fraction``.
-    Results are memoized per datum and highest weight.
+    doubled.  Results are memoized per datum and highest weight.
 
     The recursion visits dominant weights only (Moody-Patera, "Fast
     recursion formula for weight multiplicities", Bull. AMS 7, 1982).

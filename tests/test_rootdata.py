@@ -301,10 +301,11 @@ def test_standard_data_are_built_once():
     assert datum_by_name("GSp6") is gsp_datum(3)
     assert datum_by_name("GL4") is gl_datum(4)
     assert datum_by_name("E6.sc") is simple_type("E", 6, "sc")
+    assert datum_by_name("e6.sc") is simple_type("e", 6, "sc") is simple_type("E", 6, "sc")
 
 
 def test_each_standard_datum_is_validated_once(monkeypatch):
-    for builder in ("simple_type", "sp_datum", "so_odd_datum", "gsp_datum", "gl_datum"):
+    for builder in ("_simple_type", "_sp_datum", "_so_odd_datum", "_gsp_datum", "_gl_datum"):
         getattr(rootdata, builder).cache_clear()
     seen = []
     real = rootdata.validate
@@ -320,10 +321,25 @@ def test_each_standard_datum_is_validated_once(monkeypatch):
             datum_by_name(name)
         sp_datum(3)
         simple_type("c", 3, "sc")
+        simple_type("e", 6, "adjoint")
+        datum_by_name("a2.sc")
         gsp_datum(2)
     # C3.sc (behind B3.adjoint and SO7 too), GSp4 and the C2.sc inside it,
-    # GL3, A2.sc, E6.adjoint and B1.sc
+    # GL3, A2.sc, E6.adjoint and B1.sc; the family's case makes no new datum
     assert len(seen) == len(set(seen)) == 7
+
+
+@pytest.mark.parametrize("build,args", [
+    (sp_datum, (2,)), (gl_datum, (3,)), (gsp_datum, (2,)), (rootdata.so_odd_datum, (2,)),
+    (simple_type, ("A", 2, "sc")),
+])
+def test_a_float_argument_is_not_the_cached_int(build, args):
+    # the caches are typed: an equal float is its own key, and builds (and
+    # fails) as it would with no cache
+    build(*args)
+    floated = tuple(float(a) if type(a) is int else a for a in args)
+    with pytest.raises(TypeError):
+        build(*floated)
 
 
 @pytest.mark.parametrize("build,args", [

@@ -731,8 +731,8 @@ def test_half_integral_weights_on_the_weight_lattice_are_kept():
     ("GSp4", (1, 0, 0)), ("B3.adjoint", (1, 1, 0)), ("A3.sc", (0, 2, 1)),
 ])
 def test_integer_and_fraction_weights_agree(name, lam):
-    # the int route doubles the weight as it is; the Fraction route must give
-    # the same doubled tuple of ints, hence the same multiset and dimension
+    # int, Fraction and mixed entries double to one tuple of ints, hence one
+    # multiset and one dimension
     rd = datum_by_name(name)
     forms = [lam, tuple(map(Fraction, lam)),
              tuple(Fraction(x) if i % 2 else x for i, x in enumerate(lam))]
@@ -758,39 +758,13 @@ def test_integer_and_fraction_weights_agree(name, lam):
     ((1, 2, 0), "highest weight must be dominant"),
     ((Fraction(1, 2), 0, 0), "highest weight must pair to an integer with every simple coroot"),
 ])
-def test_weight_errors_keep_their_order_on_both_routes(lam, message):
+def test_weight_errors_keep_their_order(lam, message):
     # a length mismatch is reported before a weight off the half-integers
     rd = datum_by_name("C3.sc")
     for fn in (weyl_dimension, irrep_weight_multiset):
         with pytest.raises(InputError) as info:
             fn(rd, lam)
         assert str(info.value) == message
-
-
-class _Int(int):
-    """An int subclass: not an int by type, so it takes the Fraction route."""
-
-
-def test_only_plain_ints_skip_fraction(monkeypatch):
-    converted = []
-    real = weights.Fraction
-
-    def spy(x):
-        converted.append(x)
-        return real(x)
-
-    monkeypatch.setattr(weights, "Fraction", spy)
-    rd = datum_by_name("C3.sc")
-    assert weights._doubled_highest_weight(rd, (2, 1, 0)) == (4, 2, 0)
-    assert converted == []
-    lam = (2, True, False)
-    assert weights._doubled_highest_weight(rd, lam) == (4, 2, 0)
-    assert converted == [True, False]
-    converted.clear()
-    lam = (_Int(2), 1, real(1, 2) * 0, "0")
-    assert weights._doubled_highest_weight(datum_by_name("GSp6"), lam) == (4, 2, 0, 0)
-    assert converted == [lam[0], lam[2], "0"]
-    assert irrep_weight_multiset(rd, (2, True, False)) == irrep_weight_multiset(rd, (2, 1, 0))
 
 
 # The restriction of a spin multiset is a convolution; the enumeration of
