@@ -1,11 +1,13 @@
 """The mod-n Heisenberg group and its monomial representations, exactly.
 
 Matrix entries are powers of zeta_n, held as exponents mod n; nothing is
-floated.  Both deciders come down to integer congruences: element-wise
-projective conjugacy per central fibre, from the cycle structure of the
-monomial matrices, and global twist equivalence from the characters in
-closed form, n zeta^{alpha c} at the elements (0, b, c) with n | alpha b
-and 0 everywhere else.
+floated.  Both deciders are theorems about units alpha mod n.  Any two
+representations rho_alpha are projectively conjugate at every element,
+and the certificate gives the matching scalar powers per central fibre
+in closed form, from the cycle structure of the monomial matrices.  One
+is a twist of the other only when the alphas agree mod n, read off the
+characters in closed form: n zeta^{alpha c} at the elements (0, b, c)
+with n | alpha b and 0 everywhere else.
 """
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ from math import gcd
 
 from .intmat import BoundError, InputError
 
-# Largest modulus the two deciders accept.  The element-wise check keeps one
-# (first, step) pair for each of the n^2 central fibres, and the twist test
-# is two congruences, so those fibres set the cost.  As fresh processes on a
-# 2-vCPU Xeon with Python 3.11, ``heisenberg-demo --n 181 --alpha 1 --beta 2``
-# takes 0.16-0.31 s (median 0.17 s) and peaks at 22 MiB.
+# Largest modulus the two deciders accept.  The element-wise certificate
+# holds one (first, step) pair for each of the n^2 central fibres, and the
+# twist test is two congruences.  As fresh processes on a 2-vCPU Xeon with
+# Python 3.11, ``heisenberg-demo --n 181 --alpha 1 --beta 2`` takes
+# 0.13-0.16 s (median 0.14 s) and peaks at 22 MiB; building the fibres takes
+# 0.012-0.022 s of that.
 MAX_MODULUS = 181
 
 
@@ -155,24 +158,27 @@ def _require_comparable(r1: MonomialRep, r2: MonomialRep):
 def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     """Are the two representations conjugate up to scalar at every element?
 
-    Returns (verdict, fibres), with fibres[(a, b)] = (first, step): the
-    least scalar power k with matching eigenvalue multisets at (a, b, c)
-    is (first + (alpha_1 - alpha_2) c) mod step.  On False, fibres holds
-    the fibres before the failing one, in (a, b) order.
+    Yes, for any units alpha_1 and alpha_2.  Returns (True, fibres), with
+    fibres[(a, b)] = (first, step) in (a, b) order: the least scalar power
+    k with matching eigenvalue multisets at (a, b, c) is
+    (first + (alpha_1 - alpha_2) c) mod step.
 
-    Decided per central fibre in closed form.  rho_i(a, b, 0) shifts the
-    basis by a, so it has g = gcd(a, n) cycles, the classes j0 mod g, each
-    of length L = n / g and exponent sum s_i(j0) = alpha_i b (L j0 + C) mod n
-    with C = g L (L - 1) / 2.  A cycle's eigenvalues are the whole class of
-    s_i(j0) in Z/nL, and scaling by zeta^t moves s_i by t L, so the
-    multisets match exactly when the residues s_1 and s_2 + t L do.  Each
-    residue multiset is uniform on a coset of the subgroup h Z/n,
-    h = gcd(alpha_i b L, n); so the shifts K0 that match at c = 0 are the t
-    with t L = (alpha_1 - alpha_2) b C mod h, when both sides give the same
-    h.  That is a coset of step h / gcd(L, h), and first = min K0.
-    rho_i(a, b, c) is rho_i(a, b, 0) scaled by zeta^(alpha_i c), which
-    moves the coset by (alpha_1 - alpha_2) c.  The tests build the same
-    multisets by walking the cycles.
+    Proof.  rho_i(a, b, 0) shifts the basis by a, so it has g = gcd(a, n)
+    cycles, the classes j0 mod g, each of length L = n / g and exponent
+    sum s_i(j0) = alpha_i b (L j0 + C) mod n with C = g L (L - 1) / 2.  A
+    cycle's eigenvalues are the whole class of s_i(j0) in Z/nL, and
+    scaling by zeta^t moves s_i by t L, so the multisets match exactly
+    when the residues s_1 and s_2 + t L do.  Each residue multiset is
+    uniform on a coset of the subgroup h Z/n, h = gcd(alpha_i b L, n),
+    and as alpha_i is a unit, h = gcd(b L, n) = L step with
+    step = gcd(b, g) on both sides.  So the shifts that match at c = 0 are
+    the t with t L = D mod L step, D = (alpha_1 - alpha_2) b C.  L divides
+    D: for odd L it divides C, and for even L the modulus n is even, both
+    units are odd and alpha_1 - alpha_2 is even.  So the matching t are the
+    coset of D / L mod step, and first = (D / L) mod step.  rho_i(a, b, c)
+    is rho_i(a, b, 0) scaled by zeta^(alpha_i c), which moves the coset by
+    (alpha_1 - alpha_2) c.  The tests solve the congruence per fibre and
+    build the eigenvalue multisets by walking the cycles.
     """
     _require_comparable(r1, r2)
     n = r1.n
@@ -183,15 +189,8 @@ def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
         L = n // g
         C = g * L * (L - 1) // 2
         for b in range(n):
-            h = gcd(r1.alpha * b * L, n)
-            if gcd(r2.alpha * b * L, n) != h:
-                return False, fibres
-            d = gcd(L, h)
-            D = drift * b * C
-            if D % d:
-                return False, fibres
-            step = h // d
-            fibres[(a, b)] = (D // d * pow(L // d, -1, step) % step, step)
+            step = gcd(b, g)
+            fibres[(a, b)] = (drift * b * C // L % step, step)
     return True, fibres
 
 

@@ -408,14 +408,11 @@ def lift_archimedean_parameter(cqd: CentralQuotientData, params: dict, recipe: s
     else:
         # integral lift exists iff the 2-torsion images agree across labels
         l_exists = len({images[l] for l in labels}) <= 1
-    w_exists = all(
-        _integral(tuple(2 * a for a in p.mu)) and _integral(tuple(2 * a for a in p.nu))
-        for p in pairs.values())
     return ParameterLiftReport(
         recipe=recipe,
         lifted=tuple(lifted),
         input_classes=input_classes,
         l_lift_exists=l_exists,
-        w_lift_exists=w_exists,
+        w_lift_exists=all("W" in c for c in input_classes.values()),
         two_torsion_images=images,
     )

@@ -224,6 +224,33 @@ def elementwise_by_full_scan(r1, r2):
     return True, witnesses
 
 
+def elementwise_by_congruences(r1, r2):
+    """Per central fibre: solve t L = (alpha_1 - alpha_2) b C mod h, for any alphas.
+
+    Compares the coset moduli h = gcd(alpha_i b L, n) of both sides and
+    returns (False, the fibres before the failing one) when they differ or
+    the congruence has no solution.
+    """
+    n = r1.n
+    drift = r1.alpha - r2.alpha
+    fibres = {}
+    for a in range(n):
+        g = gcd(a, n)
+        L = n // g
+        C = g * L * (L - 1) // 2
+        for b in range(n):
+            h = gcd(r1.alpha * b * L, n)
+            if gcd(r2.alpha * b * L, n) != h:
+                return False, fibres
+            d = gcd(L, h)
+            D = drift * b * C
+            if D % d:
+                return False, fibres
+            step = h // d
+            fibres[(a, b)] = (D // d * pow(L // d, -1, step) % step, step)
+    return True, fibres
+
+
 def witnesses_from_fibres(r1, r2, fibres):
     """The least scalar power at each (a, b, c): (first + (alpha_1 - alpha_2) c) mod step."""
     drift = r1.alpha - r2.alpha
@@ -466,13 +493,25 @@ def test_elementwise_partial_witnesses_match_full_scan(n):
     for a in range(n):
         for b in range(n):
             r1, r2 = AnyAlphaRep(n, a), AnyAlphaRep(n, b)
-            same, fibres = elementwise_projective_conjugate(r1, r2)
+            same, fibres = elementwise_by_congruences(r1, r2)
             want_same, want_wit = elementwise_by_full_scan(r1, r2)
             assert same == want_same
             wit = witnesses_from_fibres(r1, r2, fibres)
             assert list(wit.items()) == list(want_wit.items())
             verdicts.add(same)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_elementwise_matches_congruences(n):
+    # the closed form against the congruence solved per fibre, on every unit pair
+    for a in units(n):
+        for b in units(n):
+            r1, r2 = rep_rho(n, a), rep_rho(n, b)
+            same, fibres = elementwise_projective_conjugate(r1, r2)
+            want_same, want_fibres = elementwise_by_congruences(r1, r2)
+            assert same is want_same is True
+            assert list(fibres.items()) == list(want_fibres.items())
 
 
 @pytest.mark.parametrize("n", [5, 8])

@@ -258,6 +258,17 @@ def test_param_lift_finite_order_constant_parity():
     assert rep.l_lift_exists and rep.w_lift_exists
 
 
+@pytest.mark.parametrize("recipe", ["cm_typeA", "finite_order"])
+def test_param_lift_w_needs_every_label(recipe):
+    # 2 * (1/4) is not integral, so v2 alone keeps the W verdict false
+    cqd = sl2_cqd()
+    params = {"v1": ParameterPair.make([Fraction(1, 2)], [Fraction(-1, 2)]),
+              "v2": ParameterPair.make([Fraction(1, 4)], [Fraction(-3, 4)])}
+    rep = lift_archimedean_parameter(cqd, params, recipe, tempered=False)
+    assert rep.input_classes == {"v1": frozenset({"W"}), "v2": frozenset()}
+    assert not rep.w_lift_exists
+
+
 def test_param_lift_trivial():
     cqd = sl2_cqd()
     rep = lift_archimedean_parameter(cqd, {"v": ParameterPair.make([0], [0])}, "finite_order")
