@@ -3,8 +3,9 @@
 Matrix entries are powers of zeta_n, held as exponents mod n; nothing is
 floated.  Both deciders are theorems about units alpha mod n.  Any two
 representations rho_alpha are projectively conjugate at every element,
-and the certificate gives the matching scalar powers per central fibre
-in closed form, from the cycle structure of the monomial matrices.  One
+and the certificate is a function that gives the matching scalar powers
+of one central fibre in closed form, from the cycle structure of the
+monomial matrices, so no decider walks the fibres.  One
 is a twist of the other only when the alphas agree mod n, read off the
 characters in closed form: n zeta^{alpha c} at the elements (0, b, c)
 with n | alpha b and 0 everywhere else.
@@ -16,13 +17,15 @@ from math import gcd
 
 from .intmat import BoundError, InputError
 
-# Largest modulus the two deciders accept.  The element-wise certificate
-# holds one (first, step) pair for each of the n^2 central fibres, and the
-# twist test is two congruences.  As fresh processes on a 2-vCPU Xeon with
-# Python 3.11, ``heisenberg-demo --n 181 --alpha 1 --beta 2`` takes
-# 0.13-0.16 s (median 0.14 s) and peaks at 22 MiB; building the fibres takes
-# 0.012-0.022 s of that.
-MAX_MODULUS = 181
+# Largest modulus the two deciders accept.  Both take constant time: the
+# twist test is two congruences, and the element-wise certificate computes
+# a fibre's pair from two gcds when asked for it.  What grows with n is
+# rep_determinant's O(n) walk over the basis, which heisenberg-demo runs for
+# both representations.  As fresh processes on a 2-vCPU Xeon with Python
+# 3.11, ``heisenberg-demo --n 100000 --alpha 1 --beta 3`` takes 0.25-0.30 s
+# (median 0.25 s) and peaks at 25 MiB, against 0.08-0.09 s and 17 MiB at
+# n = 181; n = 1000003 takes 1.8-2.2 s and 100 MiB.
+MAX_MODULUS = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +161,10 @@ def _require_comparable(r1: MonomialRep, r2: MonomialRep):
 def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     """Are the two representations conjugate up to scalar at every element?
 
-    Yes, for any units alpha_1 and alpha_2.  Returns (True, fibres), with
-    fibres[(a, b)] = (first, step) in (a, b) order: the least scalar power
-    k with matching eigenvalue multisets at (a, b, c) is
-    (first + (alpha_1 - alpha_2) c) mod step.
+    Yes, for any units alpha_1 and alpha_2.  Returns (True, fibre), where
+    fibre(a, b) = (first, step) = (0, gcd(b, gcd(a, n))) for the central
+    fibre (a, b): the least scalar power k with matching eigenvalue
+    multisets at (a, b, c) is (first + (alpha_1 - alpha_2) c) mod step.
 
     Proof.  rho_i(a, b, 0) shifts the basis by a, so it has g = gcd(a, n)
     cycles, the classes j0 mod g, each of length L = n / g and exponent
@@ -172,26 +175,21 @@ def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):
     uniform on a coset of the subgroup h Z/n, h = gcd(alpha_i b L, n),
     and as alpha_i is a unit, h = gcd(b L, n) = L step with
     step = gcd(b, g) on both sides.  So the shifts that match at c = 0 are
-    the t with t L = D mod L step, D = (alpha_1 - alpha_2) b C.  L divides
-    D: for odd L it divides C, and for even L the modulus n is even, both
-    units are odd and alpha_1 - alpha_2 is even.  So the matching t are the
-    coset of D / L mod step, and first = (D / L) mod step.  rho_i(a, b, c)
-    is rho_i(a, b, 0) scaled by zeta^(alpha_i c), which moves the coset by
-    (alpha_1 - alpha_2) c.  The tests solve the congruence per fibre and
-    build the eigenvalue multisets by walking the cycles.
+    the t with t L = D mod L step, D = (alpha_1 - alpha_2) b C.  Here
+    D / L = (alpha_1 - alpha_2) b g (L - 1) / 2 is a multiple of b, hence
+    of step: (L - 1) / 2 is whole for odd L, and for even L the modulus n
+    is even, both units are odd and alpha_1 - alpha_2 is even.  So t = 0
+    matches, and first = 0.  rho_i(a, b, c) is rho_i(a, b, 0) scaled by
+    zeta^(alpha_i c), which moves the coset by (alpha_1 - alpha_2) c.  The
+    tests solve the congruence per fibre and build the eigenvalue
+    multisets by walking the cycles.
     """
     _require_comparable(r1, r2)
     n = r1.n
-    drift = r1.alpha - r2.alpha
-    fibres = {}
-    for a in range(n):
-        g = gcd(a, n)
-        L = n // g
-        C = g * L * (L - 1) // 2
-        for b in range(n):
-            step = gcd(b, g)
-            fibres[(a, b)] = (drift * b * C // L % step, step)
-    return True, fibres
+
+    def fibre(a, b):
+        return 0, gcd(b, gcd(a, n))
+    return True, fibre
 
 
 def globally_twist_equivalent(r1: MonomialRep, r2: MonomialRep) -> bool:

@@ -28,7 +28,7 @@ from .rootdata import (
 
 # Largest --max-rank classify_simple_types accepts: validating each datum
 # checks all 2^rank principal minors.  On a 2-vCPU Xeon with Python 3.11,
-# rank 12 takes 4.2-4.6 s as a fresh process (rank 13 takes 10.1-10.6 s).
+# rank 12 takes 3.5-4.4 s as a fresh process (rank 13 takes 7.8-9.8 s).
 MAX_CLASSIFY_RANK = 12
 
 
@@ -285,20 +285,29 @@ def _integral(vec) -> bool:
     return all(Fraction(x).denominator == 1 for x in vec)
 
 
+def _lcw_classes(inside, rho, parts) -> frozenset:
+    """The L / C / W classes of mu and nu, given as (weight, central part) pairs.
+
+    L asks inside(weight, central) of both parts as they are, C with rho
+    taken off each weight (rho shifts only the X(T) part), and W with both
+    parts doubled.
+    """
+    def twice(v):
+        return tuple(2 * a for a in v)
+    tests = {
+        "L": parts,
+        "C": [(tuple(a - b for a, b in zip(w, rho)), c) for w, c in parts],
+        "W": [(twice(w), twice(c)) for w, c in parts],
+    }
+    return frozenset(k for k, ps in tests.items() if all(inside(w, c) for w, c in ps))
+
+
 def algebraicity_class(rd: BasedRootDatum, p: ParameterPair) -> frozenset:
     """Which of the L / C / W integrality classes the pair satisfies."""
     if len(p.mu) != rd.rank:
         raise InputError("parameter length does not match the rank")
-    out = set()
-    if _integral(p.mu) and _integral(p.nu):
-        out.add("L")
-    rho = half_sum_positive_roots(rd)
-    if _integral(tuple(a - b for a, b in zip(p.mu, rho))) and \
-       _integral(tuple(a - b for a, b in zip(p.nu, rho))):
-        out.add("C")
-    if _integral(tuple(2 * a for a in p.mu)) and _integral(tuple(2 * a for a in p.nu)):
-        out.add("W")
-    return frozenset(out)
+    return _lcw_classes(lambda w, c: _integral(w), half_sum_positive_roots(rd),
+                        [(p.mu, ()), (p.nu, ())])
 
 
 @dataclass(frozen=True)
@@ -340,18 +349,8 @@ class ParameterLiftReport:
 
 def _extended_classes(cqd: CentralQuotientData, mu, nu, mu_c, nu_c) -> frozenset:
     """L/C/W classes of a lifted pair against the extended character lattice."""
-    out = set()
-    if cqd.pair_in_extended_lattice(mu, mu_c) and cqd.pair_in_extended_lattice(nu, nu_c):
-        out.add("L")
-    rho = half_sum_positive_roots(cqd.G)
-    mu_s = tuple(a - b for a, b in zip(mu, rho))
-    nu_s = tuple(a - b for a, b in zip(nu, rho))
-    if cqd.pair_in_extended_lattice(mu_s, mu_c) and cqd.pair_in_extended_lattice(nu_s, nu_c):
-        out.add("C")
-    if cqd.pair_in_extended_lattice(tuple(2 * a for a in mu), tuple(2 * a for a in mu_c)) and \
-       cqd.pair_in_extended_lattice(tuple(2 * a for a in nu), tuple(2 * a for a in nu_c)):
-        out.add("W")
-    return frozenset(out)
+    return _lcw_classes(cqd.pair_in_extended_lattice, half_sum_positive_roots(cqd.G),
+                        [(mu, mu_c), (nu, nu_c)])
 
 
 def lift_archimedean_parameter(cqd: CentralQuotientData, params: dict, recipe: str,

@@ -461,12 +461,8 @@ def quaternion_splits_by_search(x: int, y: int) -> bool:
     x u^2 + y v^2 - w^2; the reduction to pairwise-coprime squarefree
     coefficients happens inside the search.
     """
-    x, y = squarefree_class(Fraction(x)), squarefree_class(Fraction(y))
+    x, y = squarefree_class(x), squarefree_class(y)
     return _legendre_isotropic(x, y, -1)
-
-
-def _gcd(a, b):
-    return gcd(abs(a), abs(b))
 
 
 def _legendre_isotropic(a: int, b: int, c: int) -> bool:
@@ -482,13 +478,13 @@ def _legendre_isotropic(a: int, b: int, c: int) -> bool:
         changed = False
         for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             vals = [a, b, c]
-            g = _gcd(vals[i], vals[j])
+            g = gcd(vals[i], vals[j])
             if g > 1:
                 p = next(iter(_factor(g)))
                 vals[i] //= p
                 vals[j] //= p
-                vals[k] = squarefree_class(Fraction(vals[k] * p))
-                a, b, c = (squarefree_class(Fraction(v)) for v in vals)
+                vals[k] = squarefree_class(vals[k] * p)
+                a, b, c = (squarefree_class(v) for v in vals)
                 changed = True
                 break
     if a > 0 and b > 0 and c > 0 or (a < 0 and b < 0 and c < 0):

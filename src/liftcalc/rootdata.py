@@ -319,8 +319,8 @@ def _simple_type(family, rank, isogeny):
 # Largest semisimple rank datum_by_name builds: validating a datum checks all
 # 2^rank principal minors, so each rank doubles the cost.  As fresh processes
 # on a 2-vCPU Xeon with Python 3.11, param-lift on A14.sc, C14.sc or GL15
-# takes 3.8-4.3 s and dim 1.9-2.3 s; at rank 15 param-lift takes 8.7-10.4 s,
-# and at rank 16 dim takes 9.0-10.4 s.
+# takes 2.4-3.4 s and dim 1.4-2.0 s; at rank 15 param-lift takes 5.2-5.7 s,
+# and at rank 16 dim takes 6.2-8.2 s.
 MAX_DATUM_RANK = 14
 
 

@@ -110,7 +110,7 @@ def _seeded_quotient(rows, cols, seed):
 
 
 @pytest.mark.parametrize("argv,gram", [
-    (("heisenberg-demo", "--n", "400", "--alpha", "1", "--beta", "3"), None),
+    (("heisenberg-demo", "--n", "400000", "--alpha", "1", "--beta", "3"), None),
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
     (("classify-simple-types", "--max-rank", "1000000"), None),
     (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
@@ -906,6 +906,15 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_heisenberg_at_the_modulus_bound_exits_0(capsys):
+    code, out = run(capsys, "heisenberg-demo", "--n", str(MAX_MODULUS), "--alpha", "1",
+                    "--beta", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["elementwise_projectively_conjugate"] is True
+    assert payload["globally_twist_equivalent"] is False
 
 
 def test_heisenberg_just_above_the_modulus_bound_exits_3(capsys):

@@ -251,6 +251,11 @@ def elementwise_by_congruences(r1, r2):
     return True, fibres
 
 
+def fibre_table(n, fibre):
+    """The certificate as a dict over the n^2 central fibres, in (a, b) order."""
+    return {(a, b): fibre(a, b) for a in range(n) for b in range(n)}
+
+
 def witnesses_from_fibres(r1, r2, fibres):
     """The least scalar power at each (a, b, c): (first + (alpha_1 - alpha_2) c) mod step."""
     drift = r1.alpha - r2.alpha
@@ -479,10 +484,10 @@ def test_elementwise_matches_full_scan(n):
     for a in units(n) if n <= 8 else units(n)[:2]:
         for b in units(n):
             r1, r2 = rep_rho(n, a), rep_rho(n, b)
-            same, fibres = elementwise_projective_conjugate(r1, r2)
+            same, fibre = elementwise_projective_conjugate(r1, r2)
             want_same, want_wit = elementwise_by_full_scan(r1, r2)
             assert same == want_same
-            wit = witnesses_from_fibres(r1, r2, fibres)
+            wit = witnesses_from_fibres(r1, r2, fibre_table(n, fibre))
             assert list(wit.items()) == list(want_wit.items())
 
 
@@ -508,10 +513,10 @@ def test_elementwise_matches_congruences(n):
     for a in units(n):
         for b in units(n):
             r1, r2 = rep_rho(n, a), rep_rho(n, b)
-            same, fibres = elementwise_projective_conjugate(r1, r2)
+            same, fibre = elementwise_projective_conjugate(r1, r2)
             want_same, want_fibres = elementwise_by_congruences(r1, r2)
             assert same is want_same is True
-            assert list(fibres.items()) == list(want_fibres.items())
+            assert list(fibre_table(n, fibre).items()) == list(want_fibres.items())
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -549,22 +554,36 @@ def test_modulus_bound(monkeypatch):
 
 def test_deciders_work_per_fibre(monkeypatch):
     # neither decider may fall back to scanning the n^3 group elements or
-    # to building eigenvalue multisets, which stay the oracles above
+    # to building eigenvalue multisets, which stay the oracles above, and
+    # the element-wise one computes no fibre until it is asked for one
     def no_scan(*args):
         raise AssertionError("fell back to a scan of the group")
 
+    cases = ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30), (MAX_MODULUS, 1, 3))
+    reps = [(rep_rho(n, a), rep_rho(n, b), a == b) for n, a, b in cases]
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
     monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
-    for n, a, b in ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30)):
-        r1, r2 = rep_rho(n, a), rep_rho(n, b)
-        same, fibres = elementwise_projective_conjugate(r1, r2)
-        assert same and len(fibres) == n ** 2
-        assert globally_twist_equivalent(r1, r2) == (a == b)
+    monkeypatch.setattr(heisenberg, "gcd", counting_gcd)
+    for r1, r2, equal in reps:
+        same, fibre = elementwise_projective_conjugate(r1, r2)
+        assert same and calls == []
+        for a, b in ((0, 0), (1, r1.n - 1), (r1.n - 1, 6)):
+            fibre(a, b)
+            assert len(calls) == 2
+            calls.clear()
+        assert globally_twist_equivalent(r1, r2) == equal
+        calls.clear()
 
 
 def test_elementwise_self():
     r = rep_rho(5, 2)
-    same, fibres = elementwise_projective_conjugate(r, r)
-    assert same and all(first == 0 for first, _ in fibres.values())
+    same, fibre = elementwise_projective_conjugate(r, r)
+    assert same and all(first == 0 for first, _ in fibre_table(r.n, fibre).values())
 
 
 @pytest.mark.parametrize("n", range(2, 13))
