@@ -264,7 +264,7 @@ def check_heisenberg(rng):
     for n in range(2, 13):
         for a in (x for x in range(1, n) if gcd(x, n) == 1):
             _expect(rep_determinant_matches_closed_form(n, a),
-                    f"determinant table failed at n={n}, alpha={a}")
+                    f"closed-form determinants differ from the matrix walk at n={n}, alpha={a}")
     # the defining relation as an exact matrix identity
     for n in (3, 4, 5):
         G = heisenberg_group(n)

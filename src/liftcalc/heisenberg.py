@@ -1,31 +1,23 @@
 """The mod-n Heisenberg group and its monomial representations, exactly.
 
 Matrix entries are powers of zeta_n, held as exponents mod n; nothing is
-floated.  Both deciders are theorems about units alpha mod n.  Any two
-representations rho_alpha are projectively conjugate at every element,
-and the certificate is a function that gives the matching scalar powers
-of one central fibre in closed form, from the cycle structure of the
-monomial matrices, so no decider walks the fibres.  One
+floated.  Every answer is a theorem about alpha mod n, so no decider and
+no determinant grows with n.  Any two representations rho_alpha with unit
+alphas are projectively conjugate at every element, and the certificate
+is a function that gives the matching scalar powers of one central fibre
+in closed form, from the cycle structure of the monomial matrices.  One
 is a twist of the other only when the alphas agree mod n, read off the
 characters in closed form: n zeta^{alpha c} at the elements (0, b, c)
-with n | alpha b and 0 everywhere else.
+with n | alpha b and 0 everywhere else.  The determinants of the
+generators are closed forms too; building their monomial matrices and
+walking the cycles is kept only as their check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import BoundError, InputError
-
-# Largest modulus the two deciders accept.  Both take constant time: the
-# twist test is two congruences, and the element-wise certificate computes
-# a fibre's pair from two gcds when asked for it.  What grows with n is
-# rep_determinant's O(n) walk over the basis, which heisenberg-demo runs for
-# both representations.  As fresh processes on a 2-vCPU Xeon with Python
-# 3.11, ``heisenberg-demo --n 100000 --alpha 1 --beta 3`` takes 0.25-0.30 s
-# (median 0.25 s) and peaks at 25 MiB, against 0.08-0.09 s and 17 MiB at
-# n = 181; n = 1000003 takes 1.8-2.2 s and 100 MiB.
-MAX_MODULUS = 100000
+from .intmat import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -122,40 +114,29 @@ def rep_rho(n: int, alpha: int) -> MonomialRep:
 
 
 def rep_determinant(r: MonomialRep) -> dict:
-    """Exact determinants of the images of A, B, Z as (sign, zeta exponent)."""
-    gens = {"A": (1, 0, 0), "B": (0, 1, 0), "Z": (0, 0, 1)}
-    return {name: r.rho(g).det() for name, g in gens.items()}
+    """Exact determinants of the images of A, B, Z as (sign, zeta exponent).
 
-
-def determinant_closed_form(n: int, alpha: int) -> dict:
-    """The case table: A -> (-1)^(n-1); B -> 1 if n odd or alpha, n both even,
-    else -1; Z -> 1."""
-    det_a = (1 if (n - 1) % 2 == 0 else -1, 0)
-    if n % 2 == 1 or (alpha % 2 == 0 and n % 2 == 0):
-        det_b = (1, 0)
-    else:
-        det_b = (-1, 0)
-    return {"A": det_a, "B": det_b, "Z": (1, 0)}
-
-
-def _dets_equal(n: int, d1, d2) -> bool:
-    """Compare sign * zeta_n^e as the power 2e + n [sign < 0] of zeta_2n."""
-    def power(sign, e):
-        return (2 * e + (n if sign < 0 else 0)) % (2 * n)
-    return power(*d1) == power(*d2)
+    rho(A) sends e_j to e_{j-1}, one n-cycle with zero exponents, so its
+    determinant is the cycle's sign (-1)^(n-1).  rho(B) is diagonal with
+    exponents alpha j, summing to alpha n(n-1)/2.  rho(Z) is the scalar
+    zeta^alpha, whose n-th power is 1.
+    """
+    n = r.n
+    return {"A": (1 if n % 2 else -1, 0),
+            "B": (1, r.alpha * (n * (n - 1) // 2) % n),
+            "Z": (1, 0)}
 
 
 def rep_determinant_matches_closed_form(n: int, alpha: int) -> bool:
-    got = rep_determinant(rep_rho(n, alpha))
-    want = determinant_closed_form(n, alpha)
-    return all(_dets_equal(n, got[k], want[k]) for k in ("A", "B", "Z"))
+    """Do the closed forms equal the determinants of the monomial matrices?"""
+    r = rep_rho(n, alpha)
+    gens = {"A": (1, 0, 0), "B": (0, 1, 0), "Z": (0, 0, 1)}
+    return {name: r.rho(g).det() for name, g in gens.items()} == rep_determinant(r)
 
 
 def _require_comparable(r1: MonomialRep, r2: MonomialRep):
     if r1.n != r2.n:
         raise InputError("representations live over different moduli")
-    if r1.n > MAX_MODULUS:
-        raise BoundError(f"modulus {r1.n} exceeds the bound {MAX_MODULUS}")
 
 
 def elementwise_projective_conjugate(r1: MonomialRep, r2: MonomialRep):

@@ -97,6 +97,14 @@ class ObstructionReport:
         }
 
 
+def _first_differing_pair(classes: dict, labels: list, coords) -> tuple | None:
+    """The first adjacent pair of sorted labels whose classes differ at one of coords."""
+    for a, b in zip(labels, labels[1:]):
+        if any(classes[a][i] != classes[b][i] for i in coords):
+            return a, b
+    return None
+
+
 def geometric_lift_exists(cqd: CentralQuotientData, h: HodgeFamily, mode: str) -> ObstructionReport:
     """Decide geometric liftability of the weight family through the quotient.
 
@@ -119,11 +127,7 @@ def geometric_lift_exists(cqd: CentralQuotientData, h: HodgeFamily, mode: str) -
 
     if mode == "totally_real":
         even_idx = [i for i, di in enumerate(d) if di % 2 == 0]
-        cert = None
-        for a, b in zip(labels, labels[1:]):
-            if any(classes[a][i] != classes[b][i] for i in even_idx):
-                cert = (a, b)
-                break
+        cert = _first_differing_pair(classes, labels, even_idx)
         purity = []
         for i, di in enumerate(d):
             doubled = {(2 * classes[l][i]) % di for l in labels}
@@ -157,11 +161,7 @@ def geometric_lift_exists(cqd: CentralQuotientData, h: HodgeFamily, mode: str) -
         witness = {l: tuple(families[i][l] for i in range(len(d))) for l in labels}
         return ObstructionReport(
             "lift_exists", mode, d, classes, witness, None, tuple(purity), True)
-    cert = None
-    for a, b in zip(labels, labels[1:]):
-        if classes[a] != classes[b]:
-            cert = (a, b)
-            break
+    cert = _first_differing_pair(classes, labels, range(len(d)))
     if cert is None:
         # constant classes are always feasible: if no adjacent sorted pair
         # differs, all classes are equal

@@ -472,21 +472,22 @@ def _legendre_isotropic(a: int, b: int, c: int) -> bool:
     searches within the Legendre bounds |x| <= sqrt|bc|, |y| <= sqrt|ac|,
     |z| <= sqrt|ab|.
     """
-    # pairwise coprime reduction: if p | a and p | b then (a, b, c) ~ (a/p, b/p, pc)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            vals = [a, b, c]
+    # pairwise coprime reduction by gcds alone: if g = gcd(a, b) > 1, scaling
+    # by g and absorbing g^2 and h^2, h = gcd(g, c), into the variables gives
+    # the squarefree (a/g, b/g, (g/h)(c/h)), and |abc| falls by g h^2
+    vals = [a, b, c]
+    while True:
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             g = gcd(vals[i], vals[j])
             if g > 1:
-                p = next(iter(_factor(g)))
-                vals[i] //= p
-                vals[j] //= p
-                vals[k] = squarefree_class(vals[k] * p)
-                a, b, c = (squarefree_class(v) for v in vals)
-                changed = True
+                h = gcd(g, vals[k])
+                vals[i] //= g
+                vals[j] //= g
+                vals[k] = (g // h) * (vals[k] // h)
                 break
+        else:
+            break
+    a, b, c = vals
     if a > 0 and b > 0 and c > 0 or (a < 0 and b < 0 and c < 0):
         return False
     bx = isqrt(abs(b * c))

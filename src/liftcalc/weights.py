@@ -430,8 +430,7 @@ def so_block_embedding(blocks) -> LatticeMap:
             row[used + j] = 1
             rows.append(row)
         used += r
-    return LatticeMap.from_rows(rows, source_rank=n_big) if rows else \
-        LatticeMap(n_big, 0, IntMatrix.zero(0, n_big))
+    return LatticeMap.from_rows(rows, source_rank=n_big)
 
 
 def gl_block_embedding(c: int, d0: int) -> LatticeMap:

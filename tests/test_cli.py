@@ -13,7 +13,6 @@ import liftcalc
 from liftcalc import acceptance
 from liftcalc.cli import json_embedding_data, json_matrix, main
 from liftcalc.cmdata import CMEmbeddingData
-from liftcalc.heisenberg import MAX_MODULUS
 from liftcalc.intmat import MAX_LIFT_BITS, MAX_LIFT_DIM, IntMatrix
 from liftcalc.lifting import MAX_CLASSIFY_RANK
 from liftcalc.weights import MAX_PLETHYSM_G, MAX_SPIN_RANK
@@ -110,7 +109,7 @@ def _seeded_quotient(rows, cols, seed):
 
 
 @pytest.mark.parametrize("argv,gram", [
-    (("heisenberg-demo", "--n", "400000", "--alpha", "1", "--beta", "3"), None),
+    (("classify-simple-types", "--max-rank", str(MAX_CLASSIFY_RANK + 1)), None),
     (("qform-invariants",), [["1000000000000000000000000000057"]]),
     (("classify-simple-types", "--max-rank", "1000000"), None),
     (("spin-weights", "--n", str(MAX_SPIN_RANK + 1), "--family", "B"), None),
@@ -218,9 +217,9 @@ def _fuzz_argv(rng, kind):
         to = rng.choice((f"so{c}^{d}", f"gl{c}^{d}", f"so{c}*so{rng.randint(2, 40)}"))
         table = ["--format", "table"] if rng.random() < 0.5 else []
         return [kind, *table, "--to", to]
-    # moduli stay where the scans are fast, or above the bound; most
-    # multipliers are units, so that some pairs get a full report
-    n = rng.choice((rng.randint(-3, 12), rng.randint(MAX_MODULUS + 1, 10 ** 6)))
+    # small moduli, some refused, or large ones up to the integer parse
+    # limit; most multipliers are units, so that many pairs get a full report
+    n = rng.choice((rng.randint(-3, 12), rng.randint(10 ** 6, 10 ** 4299)))
     pair = []
     while len(pair) < 2:
         x = rng.randint(-20, 20)
@@ -855,10 +854,15 @@ def test_lift_check_custom_embedding(tmp_path, capsys):
     assert json.loads(out)["decision"] == "lift_exists"
 
 
-def test_python_m_liftcalc_matches_cli_module():
+def _fresh_env():
+    """The environment of a fresh ``python -m liftcalc`` that imports this checkout."""
     src = os.path.dirname(os.path.dirname(liftcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_liftcalc_matches_cli_module():
+    env = _fresh_env()
     argv = ["dim", "--group", "C3.sc", "--weight", "2,1,0"]
     package, module = (subprocess.run([sys.executable, "-m", m, *argv], capture_output=True,
                                       text=True, env=env, timeout=60)
@@ -893,9 +897,7 @@ def test_dim_weight_with_leading_minus(capsys):
                                   ["dim", "--group", "C3.sc", "--weight", "2,1,0",
                                    "--format", "table"]])
 def test_closed_stdout_exits_1_without_traceback(argv):
-    src = os.path.dirname(os.path.dirname(liftcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _fresh_env()
     # the reading end is closed before the process starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -908,22 +910,23 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     assert proc.stderr == ""
 
 
-def test_heisenberg_at_the_modulus_bound_exits_0(capsys):
-    code, out = run(capsys, "heisenberg-demo", "--n", str(MAX_MODULUS), "--alpha", "1",
-                    "--beta", "3")
-    assert code == 0
-    payload = json.loads(out)
+def test_heisenberg_at_the_modulus_bound_exits_0():
+    # nothing in heisenberg-demo grows with n, so a modulus is limited only
+    # by the digits Python parses an int from
+    digits = sys.get_int_max_str_digits()
+    n = 10 ** (digits - 1) + 1     # 3 does not divide it
+    argv = [sys.executable, "-m", "liftcalc", "heisenberg-demo", "--alpha", "1", "--beta", "3"]
+    start = time.perf_counter()
+    proc = subprocess.run([*argv, "--n", str(n)], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
     assert payload["elementwise_projectively_conjugate"] is True
     assert payload["globally_twist_equivalent"] is False
-
-
-def test_heisenberg_just_above_the_modulus_bound_exits_3(capsys):
-    n = MAX_MODULUS + 1
-    beta = next(x for x in range(2, n) if gcd(x, n) == 1)
-    start = time.perf_counter()
-    code = main(["heisenberg-demo", "--n", str(n), "--alpha", "1", "--beta", str(beta)])
-    elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
-    assert code == 3
-    assert len(err.strip().splitlines()) == 1
     assert elapsed < 1.0
+    # one digit more is refused by argparse, with exit 2 and one stderr line
+    proc = subprocess.run([*argv, "--n", str(n) + "0"], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1

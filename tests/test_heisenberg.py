@@ -9,10 +9,8 @@ import pytest
 from liftcalc import heisenberg
 from liftcalc.cli import main
 from liftcalc.heisenberg import (
-    MAX_MODULUS,
     Monomial,
     MonomialRep,
-    determinant_closed_form,
     elementwise_projective_conjugate,
     globally_twist_equivalent,
     heisenberg_group,
@@ -20,7 +18,7 @@ from liftcalc.heisenberg import (
     rep_determinant_matches_closed_form,
     rep_rho,
 )
-from liftcalc.intmat import BoundError, InputError
+from liftcalc.intmat import InputError
 
 
 def units(n):
@@ -539,19 +537,6 @@ def test_character_is_trace(n):
                 assert ring.is_zero(trace)
 
 
-def test_modulus_bound(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("scan started above the modulus bound")
-
-    monkeypatch.setattr(heisenberg, "heisenberg_group", no_scan)
-    n = MAX_MODULUS + 1
-    r1, r2 = rep_rho(n, 1), rep_rho(n, units(n)[1])
-    with pytest.raises(BoundError):
-        elementwise_projective_conjugate(r1, r2)
-    with pytest.raises(BoundError):
-        globally_twist_equivalent(r1, r2)
-
-
 def test_deciders_work_per_fibre(monkeypatch):
     # neither decider may fall back to scanning the n^3 group elements or
     # to building eigenvalue multisets, which stay the oracles above, and
@@ -559,7 +544,7 @@ def test_deciders_work_per_fibre(monkeypatch):
     def no_scan(*args):
         raise AssertionError("fell back to a scan of the group")
 
-    cases = ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30), (MAX_MODULUS, 1, 3))
+    cases = ((7, 3, 5), (12, 5, 5), (31, 2, 2), (31, 1, 30), (10 ** 4299 + 1, 1, 3))
     reps = [(rep_rho(n, a), rep_rho(n, b), a == b) for n, a, b in cases]
     calls = []
 
@@ -592,12 +577,50 @@ def test_determinant_table(n):
         assert rep_determinant_matches_closed_form(n, alpha)
 
 
+def determinant_closed_form(n: int, alpha: int) -> dict:
+    """The paper's case table: A -> (-1)^(n-1); B -> 1 if n odd or alpha, n
+    both even, else -1; Z -> 1."""
+    det_a = (1 if (n - 1) % 2 == 0 else -1, 0)
+    if n % 2 == 1 or (alpha % 2 == 0 and n % 2 == 0):
+        det_b = (1, 0)
+    else:
+        det_b = (-1, 0)
+    return {"A": det_a, "B": det_b, "Z": (1, 0)}
+
+
+def _dets_equal(n: int, d1, d2) -> bool:
+    """Compare sign * zeta_n^e as the power 2e + n [sign < 0] of zeta_2n."""
+    def power(sign, e):
+        return (2 * e + (n if sign < 0 else 0)) % (2 * n)
+    return power(*d1) == power(*d2)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_determinant_case_table(n):
+    for alpha in range(n):
+        r = rep_rho(n, alpha) if gcd(alpha, n) == 1 else AnyAlphaRep(n, alpha)
+        got = rep_determinant(r)
+        want = determinant_closed_form(n, alpha)
+        assert all(_dets_equal(n, got[k], want[k]) for k in ("A", "B", "Z")), (n, alpha)
+
+
+def test_determinant_builds_no_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("built a monomial matrix")
+
+    monkeypatch.setattr(MonomialRep, "rho", no_matrix)
+    n = 10 ** 30 + 1
+    got = rep_determinant(rep_rho(n, 7))
+    assert got == {"A": (1, 0), "B": (1, 0), "Z": (1, 0)}
+
+
 def test_determinant_examples():
-    # n = 4: det B is 1 for alpha even... only units are odd, so -1; the
-    # even-alpha clause is exercised through the closed form directly
+    # n = 4: det B is 1 for alpha even, and -1 = zeta_4^2 for the units,
+    # which are odd; the even-alpha clause needs a non-unit
     assert determinant_closed_form(4, 2)["B"] == (1, 0)
-    got = rep_determinant(rep_rho(4, 1))
-    assert got["B"][0] * pow(-1, 0) == -1 or got["B"] == (1, 2)
+    assert rep_determinant(AnyAlphaRep(4, 2))["B"] == (1, 0)
+    assert determinant_closed_form(4, 1)["B"] == (-1, 0)
+    assert rep_determinant(rep_rho(4, 1))["B"] == (1, 2)
     # det Z = 1 always
     for n in (3, 4, 5):
         for alpha in units(n):
@@ -694,5 +717,5 @@ def test_decider_digest(monkeypatch):
                 m.setattr(heisenberg, "rep_rho", lambda n, alpha, r=r: r)
                 lines.append((n, r.alpha, rep_determinant_matches_closed_form(n, r.alpha)))
         dets = [(sign, e) for sign in (1, -1) for e in range(n)]
-        lines.append((n, [heisenberg._dets_equal(n, d1, d2) for d1 in dets for d2 in dets]))
+        lines.append((n, [_dets_equal(n, d1, d2) for d1 in dets for d2 in dets]))
     assert _digest(lines) == DECIDER_DIGEST
