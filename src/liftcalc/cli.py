@@ -249,10 +249,10 @@ def cmd_hecke(args):
         grunwald_wang = payload.get("grunwald_wang", False)
         if type(grunwald_wang) is not bool:
             raise TypeError(f"grunwald_wang must be true or false, not {grunwald_wang!r}")
-    res = cmdata.hecke_extension_feasible(data, n, m, grunwald_wang)
+    res = cmdata.hecke_extension_feasible(data, n, m)
+    note = "Grunwald-Wang special case flagged by caller" if grunwald_wang else ""
     out = {"check": "hecke-extension", "seed": args.seed,
-           "typeA": res.typeA, "finite_order": res.finite_order,
-           "annotation": res.annotation}
+           "typeA": res.typeA, "finite_order": res.finite_order, "annotation": note}
     return out, EXIT_OK
 
 

@@ -135,11 +135,9 @@ def _through_restrict(data, labels, classes: dict) -> dict | None:
 class HeckeFeasibility:
     typeA: bool
     finite_order: bool
-    annotation: str = ""
 
 
-def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict,
-                             grunwald_wang_special_case: bool = False) -> HeckeFeasibility:
+def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict) -> HeckeFeasibility:
     """Can residue classes m at the labels come from a type A extension?
 
     ``m`` maps each label to a class mod n; classes at conjugate labels
@@ -155,8 +153,7 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict,
     moved = data.complex_labels()
     type_a = _through_restrict(data, moved, m) is not None
     finite = all(m[l] == 0 for l in moved)
-    note = "Grunwald-Wang special case flagged by caller" if grunwald_wang_special_case else ""
-    return HeckeFeasibility(type_a, finite, note)
+    return HeckeFeasibility(type_a, finite)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,8 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     if place == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
+    if p < 2:
+        raise InputError(f"Hilbert symbol place must be a prime or 'inf', not {place!r}")
     alpha, u = _val_unit(a, p)
     beta, v = _val_unit(b, p)
     if p != 2:

@@ -34,22 +34,23 @@ from .intmat import (
 class BasedRootDatum:
     """Character lattice Z^rank with simple roots and coroots as vectors.
 
-    The positive system is the one generated by the simple roots in their
-    listed order; no separate pinning data is carried.
+    A datum is its rank, simple roots and simple coroots and nothing else,
+    so data built two ways compare equal and hash alike.  The positive
+    system is the one generated by the simple roots in their listed order;
+    no separate pinning data is carried.
     """
 
     rank: int
     simple_roots: tuple
     simple_coroots: tuple
-    name: str = ""
 
     @staticmethod
-    def make(simple_roots, simple_coroots, rank=None, name="") -> "BasedRootDatum":
+    def make(simple_roots, simple_coroots, rank=None) -> "BasedRootDatum":
         roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
         coroots = tuple(tuple(int(x) for x in r) for r in simple_coroots)
         if rank is None:
             rank = len(roots[0]) if roots else 0
-        return BasedRootDatum(rank, roots, coroots, name)
+        return BasedRootDatum(rank, roots, coroots)
 
     @property
     def semisimple_rank(self) -> int:
@@ -110,25 +111,24 @@ def _require_valid(rd):
 
 def dual(rd: BasedRootDatum) -> BasedRootDatum:
     """Swap characters with cocharacters; an involution."""
-    name = ""
-    if rd.name:
-        name = rd.name + ".dual"
-    return BasedRootDatum(rd.rank, rd.simple_coroots, rd.simple_roots, name)
+    return BasedRootDatum(rd.rank, rd.simple_coroots, rd.simple_roots)
 
 
 def positive_roots(rd: BasedRootDatum) -> tuple:
     """Positive roots enumerated by reflection closure of the simple roots."""
-    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)[0]
+    return _positive_roots(rd)[0]
 
 
 def positive_coroots(rd: BasedRootDatum) -> tuple:
     """The coroot of each root of ``positive_roots(rd)``, in the same order."""
-    return _positive_roots(rd.rank, rd.simple_roots, rd.simple_coroots)[1]
+    return _positive_roots(rd)[1]
 
 
 @cache
-def _positive_roots(rank, simple_roots, simple_coroots):
+def _positive_roots(rd):
     """(positive roots, their coroots), from one reflection closure of the simple pairs.
+
+    The cache keys on the datum itself, so equal data share one closure.
 
     s_i sends a root b to b - <b, a_i^vee> a_i and its coroot bv to
     bv - <a_i, bv> a_i^vee, so each root found keeps the coroot it came with.
@@ -137,10 +137,9 @@ def _positive_roots(rank, simple_roots, simple_coroots):
     independent, so these coordinates are unique, and b is positive when
     none of them is negative.
     """
-    rd = BasedRootDatum(rank, simple_roots, simple_coroots)
     _require_valid(rd)
-    l = len(simple_roots)
-    simple = tuple(zip(simple_roots, simple_coroots))
+    l = rd.semisimple_rank
+    simple = tuple(zip(rd.simple_roots, rd.simple_coroots))
     found = {a: (av, tuple(int(i == j) for j in range(l))) for i, (a, av) in enumerate(simple)}
     frontier = list(found.items())
     while frontier:
@@ -231,11 +230,25 @@ def center_characters(rd: BasedRootDatum) -> CenterMap:
 # ---------------------------------------------------------------------------
 # built-in simple types
 #
-# A datum is immutable, so each public builder below hands its arguments to a
-# private functools cache and each standard datum is built and validated once
-# per process.  The caches are typed, so 2 and 2.0 are separate keys, and
-# simple_type upper-cases the family first, so "e" and "E" are one.  A
-# builder that raises caches nothing.
+# A datum is its rank, simple roots and simple coroots, an immutable value,
+# so each public builder below hands its arguments to a private functools
+# cache and each standard datum is built and validated once per process.  The
+# caches are typed, so 2 and 2.0 are separate keys, and simple_type
+# upper-cases the family first, so "e" and "E" are one.  A builder that raises
+# caches nothing.  The per-datum caches (_positive_roots here, the Freudenthal
+# tables in weights) key on the datum itself, so a datum built by hand with
+# the same vectors shares their entries.
+
+
+def _unit(n, i, c=1):
+    """c e_i in Z^n."""
+    return tuple(c if j == i else 0 for j in range(n))
+
+
+def _chain(n):
+    """The chain e_i - e_{i+1}, i < n - 1, in Z^n."""
+    return tuple(tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n))
+                 for i in range(n - 1))
 
 
 def _chain_cartan(n):
@@ -294,7 +307,6 @@ def simple_type(family: str, rank: int, isogeny: str) -> BasedRootDatum:
 def _simple_type(family, rank, isogeny):
     if isogeny not in ("sc", "adjoint"):
         raise InputError(f"unknown isogeny type {isogeny!r}")
-    name = f"{family}{rank}.{isogeny}"
     if family == "C" and isogeny == "sc" and rank >= 1:
         return sp_datum(rank)
     if family == "B" and isogeny == "adjoint" and rank >= 1:
@@ -305,13 +317,11 @@ def _simple_type(family, rank, isogeny):
     else:
         C = cartan_matrix_of_type(family, rank)
     n = len(C)
+    units = tuple(_unit(n, i) for i in range(n))
     if isogeny == "sc":
-        roots = [tuple(C[i]) for i in range(n)]
-        coroots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        rd = BasedRootDatum(n, tuple(map(tuple, C)), units)
     else:
-        roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        coroots = [tuple(C[i][j] for i in range(n)) for j in range(n)]
-    rd = BasedRootDatum(n, tuple(roots), tuple(coroots), name)
+        rd = BasedRootDatum(n, units, tuple(zip(*C)))
     _require_valid(rd)
     return rd
 
@@ -333,20 +343,8 @@ def sp_datum(g: int) -> BasedRootDatum:
 def _sp_datum(g):
     if g < 1:
         raise InputError("rank must be >= 1")
-    roots = []
-    coroots = []
-    for i in range(g - 1):
-        v = [0] * g
-        v[i], v[i + 1] = 1, -1
-        roots.append(tuple(v))
-        coroots.append(tuple(v))
-    last = [0] * g
-    last[g - 1] = 2
-    roots.append(tuple(last))
-    lastv = [0] * g
-    lastv[g - 1] = 1
-    coroots.append(tuple(lastv))
-    rd = BasedRootDatum(g, tuple(roots), tuple(coroots), f"C{g}.sc")
+    steps = _chain(g)
+    rd = BasedRootDatum(g, steps + (_unit(g, g - 1, 2),), steps + (_unit(g, g - 1),))
     _require_valid(rd)
     return rd
 
@@ -361,8 +359,7 @@ def so_odd_datum(n: int) -> BasedRootDatum:
 
 @lru_cache(maxsize=None, typed=True)
 def _so_odd_datum(n):
-    d = dual(sp_datum(n))
-    return BasedRootDatum(n, d.simple_roots, d.simple_coroots, f"B{n}.adjoint")
+    return dual(sp_datum(n))
 
 
 def gsp_datum(g: int) -> BasedRootDatum:
@@ -376,7 +373,7 @@ def _gsp_datum(g):
     roots = [tuple(list(r) + [0]) for r in base.simple_roots]
     roots[-1] = tuple([0] * (g - 1) + [2, -1])
     coroots = [tuple(list(r) + [0]) for r in base.simple_coroots]
-    rd = BasedRootDatum(g + 1, tuple(roots), tuple(coroots), f"GSp{2 * g}")
+    rd = BasedRootDatum(g + 1, tuple(roots), tuple(coroots))
     _require_valid(rd)
     return rd
 
@@ -390,12 +387,8 @@ def gl_datum(n: int) -> BasedRootDatum:
 def _gl_datum(n):
     if n < 1:
         raise InputError(f"GL_n needs n >= 1, got {n}")
-    roots = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        roots.append(tuple(v))
-    rd = BasedRootDatum(n, tuple(roots), tuple(roots), f"GL{n}")
+    steps = _chain(n)
+    rd = BasedRootDatum(n, steps, steps)
     _require_valid(rd)
     return rd
 

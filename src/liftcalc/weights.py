@@ -150,7 +150,7 @@ def _doubled_highest_weight(rd: BasedRootDatum, lam) -> tuple:
 
 
 @cache
-def _freudenthal_tables(rank, simple_roots, simple_coroots):
+def _freudenthal_tables(rd):
     """Per-datum tables of the Freudenthal recursion: (pos2, gram, rho2, rhov2, covecs).
 
     ``pos2`` pairs each doubled positive root with its image under ``gram``,
@@ -158,7 +158,7 @@ def _freudenthal_tables(rank, simple_roots, simple_coroots):
     positive coroots b, which ``covecs`` lists; ``rho2`` and ``rhov2`` are
     2 rho and 2 rho-check.
     """
-    rd = BasedRootDatum(rank, simple_roots, simple_coroots)
+    rank = rd.rank
     pos, covecs = positive_roots(rd), positive_coroots(rd)
     gram = tuple(tuple(sum(cv[i] * cv[j] for cv in covecs) for j in range(rank))
                  for i in range(rank))
@@ -190,13 +190,13 @@ def irrep_weight_multiset(rd: BasedRootDatum, lam) -> WeightMultiset:
     each alpha-string stops at the first one missing, since root strings
     through a weight have no gaps.
     """
-    return _freudenthal(rd.rank, rd.simple_roots, rd.simple_coroots,
-                        _doubled_highest_weight(rd, lam))
+    return _freudenthal(rd, _doubled_highest_weight(rd, lam))
 
 
 @cache
-def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
-    pos2, gram, rho2, rhov2, _ = _freudenthal_tables(rank, simple_roots, simple_coroots)
+def _freudenthal(rd, lam2) -> WeightMultiset:
+    pos2, gram, rho2, rhov2, _ = _freudenthal_tables(rd)
+    simple_roots, simple_coroots = rd.simple_roots, rd.simple_coroots
 
     def norm(v):
         return sum(x * _dot(row, v) for x, row in zip(v, gram))
@@ -250,7 +250,7 @@ def _freudenthal(rank, simple_roots, simple_coroots, lam2) -> WeightMultiset:
         if 2 * total % denom != 0:
             raise AssertionError("non-integral multiplicity in the recursion")
         expand(mu, 2 * total // denom)
-    return WeightMultiset(rank, tuple(sorted(full.items())))
+    return WeightMultiset(rd.rank, tuple(sorted(full.items())))
 
 
 def weyl_dimension(rd: BasedRootDatum, lam) -> int:
@@ -260,7 +260,7 @@ def weyl_dimension(rd: BasedRootDatum, lam) -> int:
     doubled coordinates as prod <2 lam + 2 rho, b> / prod <2 rho, b>.
     """
     lam2 = _doubled_highest_weight(rd, lam)
-    _, _, rho2, _, covecs = _freudenthal_tables(rd.rank, rd.simple_roots, rd.simple_coroots)
+    _, _, rho2, _, covecs = _freudenthal_tables(rd)
     top = tuple(a + b for a, b in zip(lam2, rho2))
     num = den = 1
     for cv in covecs:

@@ -29,7 +29,7 @@ def composite_a2_a5():
             [(0,) * a2.rank + tuple(r) for r in a5.simple_roots]
     coroots = [tuple(r) + (0,) * a5.rank for r in a2.simple_coroots] + \
               [(0,) * a2.rank + tuple(r) for r in a5.simple_coroots]
-    rd = BasedRootDatum(rank, tuple(roots), tuple(coroots), "A2xA5.sc")
+    rd = BasedRootDatum(rank, tuple(roots), tuple(coroots))
     assert validate(rd) == "ok"
     return rd
 

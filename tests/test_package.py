@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pkgutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from importlib import import_module
 from pathlib import Path
 
 import liftcalc
+from liftcalc import rootdata
 
 
 def test_exports_resolve_to_their_layer():
@@ -170,6 +172,20 @@ def test_no_private_name_is_imported_across_modules():
                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                  for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_only_rootdata_builds_a_root_datum():
+    # a datum is its rank, simple roots and simple coroots, and the per-datum
+    # caches key on it: every other module takes the data rootdata builds
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(liftcalc.__file__).parent.glob("*.py"))
+                 if path.name != "rootdata.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and "BasedRootDatum" in ast.unparse(node.func).split(".")[-2:]]
+    assert offenders == []
+    fields = [f.name for f in dataclasses.fields(rootdata.BasedRootDatum)]
+    assert fields == ["rank", "simple_roots", "simple_coroots"]
 
 
 def test_intmat_imports_nothing_from_fractions():

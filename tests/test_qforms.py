@@ -229,6 +229,13 @@ def test_diagonalize_matches_two_sided():
     assert 0 < degenerate < 200
 
 
+def test_hilbert_symbol_rejects_places_below_two():
+    # at place 1 the valuation loop would never end, and at 0 it would divide by zero
+    for place in (1, 0, -1):
+        with pytest.raises(InputError, match="place must be a prime"):
+            hilbert_symbol(3, 5, place)
+
+
 def test_hilbert_symbol_table():
     # (-1, -1) ramifies exactly at 2 and infinity
     assert hilbert_symbol(-1, -1, 2) == -1

@@ -10,6 +10,7 @@ from test_rootdata import coroot_table_by_dual_walk, simple_reflections, weyl_gr
 from liftcalc import weights
 from liftcalc.intmat import BoundError, InputError, IntMatrix, invert_unimodular
 from liftcalc.rootdata import (
+    BasedRootDatum,
     datum_by_name,
     half_sum_positive_roots,
     positive_roots,
@@ -858,3 +859,15 @@ def test_spin_restriction_bound_on_partial_images():
         _spin_restriction(f, 2 * n + 1)
     small = LatticeMap(n - 1, 1, IntMatrix(1, n - 1, (f.numer.row(0)[:-1],)))
     assert len(_spin_restriction(small, 2 * n - 1).doubled) == 2 ** (n - 1)
+
+
+
+def test_datum_built_two_ways_shares_the_caches():
+    # the per-datum caches key on the datum, so a copy built by hand is the
+    # same key as the standard datum and gets the same cached objects
+    sp = sp_datum(3)
+    copy = BasedRootDatum.make(sp.simple_roots, sp.simple_coroots)
+    assert copy is not sp
+    assert copy == sp and hash(copy) == hash(sp)
+    assert positive_roots(copy) is positive_roots(sp)
+    assert irrep_weight_multiset(copy, (2, 1, 0)) is irrep_weight_multiset(sp, (2, 1, 0))
