@@ -11,9 +11,16 @@ from fractions import Fraction
 
 from liftcalc.cli import main
 from liftcalc.intmat import BoundError, InputError
-from liftcalc.qforms import QForm, diagonalize, even_clifford_split, invariants
+from liftcalc.qforms import (
+    QForm,
+    diagonalize,
+    even_clifford_split,
+    even_clifford_split_oracle,
+    invariants,
+)
 
 FORMS_DIGEST = "cd54cfbdede8dc2c6d8a52a670d119316203e0c5c9d04de4ef6acdc8678e20f4"
+ORACLE_DIGEST = "aadfc44f494c749abae7b7a2ed4ecf22cb31e550981efe86da2438899aca8ad9"
 CLI_DIGESTS = {
     "qform-a2": "759580427583974c2bba0f6b29c98c20c64ccf97b0172ef6f0bca95cb61b8703",
     "qform-rank3": "54ba81ca8acaf3c255b7e5003eb2d1b2b600cafc5836bd8426a28cf8dd8177ab",
@@ -67,18 +74,60 @@ def _outcome(f, q):
     return repr(res) if isinstance(res, list) else json.dumps(res.to_json(), sort_keys=True)
 
 
-def form_lines():
+def integral_entries(g):
+    """g with every integral entry given as an int, as a Gram file of integers reads."""
+    return [[x.numerator if x.denominator == 1 else x for x in r] for r in g]
+
+
+def _gram_line(q):
+    # str(2) == str(Fraction(2)), so a line does not tell int from Fraction entries
+    return json.dumps([[str(x) for x in r] for r in q.gram])
+
+
+def form_lines(grams):
     lines = []
-    for g in seeded_grams():
+    for g in grams:
         q = QForm.from_gram(g)
-        lines.append(json.dumps([[str(x) for x in r] for r in q.gram]))
+        lines.append(_gram_line(q))
         for f in (diagonalize, invariants, even_clifford_split):
             lines.append(_outcome(f, q))
     return lines
 
 
 def test_forms_digest():
-    assert _digest(form_lines()) == FORMS_DIGEST
+    assert _digest(form_lines(seeded_grams())) == FORMS_DIGEST
+
+
+def test_forms_digest_with_int_entries():
+    grams = [integral_entries(g) for g in seeded_grams()]
+    assert any(type(x) is int for g in grams for r in g for x in r)
+    assert _digest(form_lines(grams)) == FORMS_DIGEST
+
+
+def seeded_integral_grams(seed=1207, count=300):
+    """Symmetric integral Gram matrices of rank 3 or 5 with int entries in [-5, 5]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((3, 5))
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        yield [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def oracle_lines(grams):
+    lines = []
+    for g in grams:
+        q = QForm.from_gram(g)
+        lines.append(_gram_line(q))
+        lines.append(_outcome(even_clifford_split_oracle, q))
+    return lines
+
+
+def test_clifford_oracle_digest():
+    odd = [g for g in seeded_grams() if len(g) % 2]
+    integral = list(seeded_integral_grams())
+    assert _digest(oracle_lines(odd + integral)) == ORACLE_DIGEST
+    odd_int = [integral_entries(g) for g in odd]
+    assert _digest(oracle_lines(odd_int + integral)) == ORACLE_DIGEST
 
 
 _RANK3 = [["1", "1/2", "0"], ["1/2", "-3", "2"], ["0", "2", "5"]]
