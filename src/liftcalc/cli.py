@@ -137,17 +137,20 @@ def json_embedding_data(x):
 def json_gram(x):
     """The quadratic form of a JSON Gram matrix, each entry parsed once.
 
-    A Gram file repeats few distinct strings, so each distinct string is
-    parsed to one Fraction that its repeats share.
+    A JSON integer is handed over as the int it is.  A Gram file repeats
+    few distinct strings, so each distinct string is parsed once, to an int
+    when its value is integral and to a Fraction otherwise, which its
+    repeats share.
     """
     parsed = {}
 
     def entry(v):
         if type(v) is not str:
-            return json_number(v, rational)
+            return json_number(v)
         f = parsed.get(v)
         if f is None:
-            f = parsed[v] = rational(v)
+            f = rational(v)
+            f = parsed[v] = f.numerator if f.denominator == 1 else f
         return f
 
     return qforms.QForm.from_gram([[entry(v) for v in json_array(r)] for r in json_array(x)])

@@ -1,5 +1,11 @@
 """Rational quadratic forms: diagonalization, Hasse symbols, Clifford splitness.
 
+Gram entries are ``int`` or ``Fraction``: an integral form stays on plain
+integers from its Gram matrix to its square classes, since the local
+formulas read only signs, valuations and square classes (Serre, *A Course
+in Arithmetic*, ch. III-IV), and integers carry all three.  Only the
+entries ``diagonalize`` returns are Fractions.
+
 Hilbert symbols are computed by the explicit local formulas (Legendre
 symbols at odd primes, the epsilon/omega formulas at 2, signs at the
 real place), and the product formula is asserted on every computed
@@ -19,6 +25,16 @@ from .intmat import BoundError, InputError
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
 TRIAL_DIVISION_CAP = 10 ** 6
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _exact(x):
+    """x itself when it is an int or a Fraction; anything else wrapped once in a Fraction."""
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
 
 @dataclass(frozen=True)
 class QForm:
@@ -27,8 +43,12 @@ class QForm:
 
     @staticmethod
     def from_gram(rows) -> "QForm":
-        """The form of a square symmetric Gram matrix; a Fraction entry is kept as it is."""
-        g = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
+        """The form of a square symmetric Gram matrix.
+
+        An int or Fraction entry is kept as it is; any other entry is
+        wrapped once in a Fraction.
+        """
+        g = tuple(tuple(map(_exact, r)) for r in rows)
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
@@ -40,18 +60,18 @@ class QForm:
 
     @staticmethod
     def diagonal_form(entries) -> "QForm":
-        entries = [Fraction(x) for x in entries]
+        entries = list(map(_exact, entries))
         n = len(entries)
-        return QForm(tuple(tuple(entries[i] if i == j else Fraction(0) for j in range(n))
+        return QForm(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
                            for i in range(n)), n)
 
     def direct_sum(self, other: "QForm") -> "QForm":
         n, m = self.rank, other.rank
         rows = []
         for i in range(n):
-            rows.append(list(self.gram[i]) + [Fraction(0)] * m)
+            rows.append(list(self.gram[i]) + [0] * m)
         for i in range(m):
-            rows.append([Fraction(0)] * n + list(other.gram[i]))
+            rows.append([0] * n + list(other.gram[i]))
         return QForm(tuple(tuple(r) for r in rows), n + m)
 
 
@@ -132,13 +152,12 @@ def _factor(n: int) -> dict:
     return out
 
 
-def _square_class(x: Fraction) -> tuple:
-    """The squarefree class of a nonzero rational and the primes dividing it.
+def _square_class(x) -> tuple:
+    """The squarefree class of a nonzero int or Fraction and the primes dividing it.
 
     Numerator and denominator are coprime, so the class is the product of
     their squarefree parts, and each is factored on its own.
     """
-    x = Fraction(x)
     if x == 0:
         raise InputError("square class of zero")
     primes = [p for part in (abs(x.numerator), x.denominator)
@@ -146,9 +165,9 @@ def _square_class(x: Fraction) -> tuple:
     return (-1 if x < 0 else 1) * prod(primes), primes
 
 
-def squarefree_class(x: Fraction) -> int:
+def squarefree_class(x) -> int:
     """Squarefree integer representing the square class of a nonzero rational."""
-    return _square_class(x)[0]
+    return _square_class(_exact(x))[0]
 
 
 def _legendre(a: int, p: int) -> int:
@@ -159,15 +178,54 @@ def _legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _is_prime(n: int) -> bool:
+    """Is the integer n >= 2 prime?  Miller-Rabin on the first 13 prime bases.
+
+    A base that witnesses compositeness proves it at any size, but a number
+    that passes all 13 is only known to be prime below _MR_EXACT_BELOW, so
+    at or above it BoundError is raised.
+    """
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise BoundError(f"cannot decide whether {n} is prime: Miller-Rabin on "
+                         f"{len(_MR_BASES)} bases is exact only below {_MR_EXACT_BELOW}")
+    return True
+
+
 def hilbert_symbol(a: int, b: int, place) -> int:
-    """The local Hilbert symbol (a, b) at a prime, 2, or "inf"."""
+    """The local Hilbert symbol (a, b) at a prime or "inf".
+
+    The place is checked here: "inf", or an int that is prime.  A place of
+    another type, or below 2, or composite, raises InputError, and a place
+    whose primality is not decided exactly raises BoundError.
+    """
     if a == 0 or b == 0:
         raise InputError("Hilbert symbol needs nonzero entries")
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if p < 2:
+    if place != "inf" and (type(place) is not int or place < 2 or not _is_prime(place)):
         raise InputError(f"Hilbert symbol place must be a prime or 'inf', not {place!r}")
+    return _hilbert_symbol(a, b, place)
+
+
+def _hilbert_symbol(a: int, b: int, p) -> int:
+    """(a, b) at "inf" or a prime p, for nonzero a and b; nothing is checked."""
+    if p == "inf":
+        return -1 if (a < 0 and b < 0) else 1
     alpha, u = _val_unit(a, p)
     beta, v = _val_unit(b, p)
     if p != 2:
@@ -245,7 +303,7 @@ def invariants(q: QForm) -> QFormInvariants:
     # (d_{j-1}, a_j) over j >= 2, n - 1 symbols per place
     pairs = list(zip(discs[1:-1], classes[1:]))
     places = ["inf"] + sorted(primes)
-    hasse = {place: prod(hilbert_symbol(d, c, place) for d, c in pairs) for place in places}
+    hasse = {place: prod(_hilbert_symbol(d, c, place) for d, c in pairs) for place in places}
     if prod(hasse.values()) != 1:
         raise AssertionError("Hilbert product formula violated; symbol computation broken")
     return QFormInvariants(q.rank, (pos, neg), disc, hasse)
@@ -280,11 +338,11 @@ def witt_class_places(q: QForm) -> tuple:
     for place in sorted(inv.hasse, key=str):
         s = inv.hasse[place]
         if m in (3, 4):
-            s *= hilbert_symbol(-1, -d, place)
+            s *= _hilbert_symbol(-1, -d, place)
         elif m in (5, 6):
-            s *= hilbert_symbol(-1, -1, place)
+            s *= _hilbert_symbol(-1, -1, place)
         elif m in (7, 0):
-            s *= hilbert_symbol(-1, d, place)
+            s *= _hilbert_symbol(-1, d, place)
         if s == -1:
             bad.append(place)
     return tuple(bad)
@@ -345,7 +403,7 @@ def clifford_basis_product(S: tuple, T: tuple, diag):
     Subsets are sorted index tuples; returns (coefficient, symmetric
     difference as a sorted tuple).
     """
-    coeff = Fraction(1)
+    coeff = 1
     out = list(S)
     for t in T:
         # move generator t leftward past the tail of ``out``
@@ -398,7 +456,7 @@ def even_clifford_quaternion_pairs(diag):
     if n == 5:
         # f1 f2 f3 and f1 f2 f4 in the algebra generated by the e_1 e_i
         def triple(a, b, c):
-            coeff = Fraction(1)
+            coeff = 1
             S = ()
             for g in (gens[a], gens[b], gens[c]):
                 cc, S = clifford_basis_product(S, g, diag)
@@ -426,12 +484,16 @@ def even_clifford_split_oracle(q: QForm) -> CliffordSplitness:
     for an isotropic vector of its norm form (Legendre's criterion).
     rank 5: the even part is a tensor product of two quaternion algebras
     extracted from the table; its class is their symbol product.
+
+    The table is built on the integers d.numerator * d.denominator, each d
+    times the square d.denominator^2, so every square class, place and
+    verdict is that of the diagonal entries themselves.
     """
     if q.rank % 2 == 0:
         raise InputError("odd rank required")
     if q.rank == 1:
         return CliffordSplitness(True, 1, ())
-    diag = diagonalize(q)
+    diag = [d.numerator * d.denominator for d in diagonalize(q)]
     pairs = even_clifford_quaternion_pairs(diag)
     if q.rank == 3:
         x, y = (squarefree_class(c) for c in pairs[0])
@@ -451,7 +513,7 @@ def quaternion_places(x: int, y: int) -> tuple:
     """Places where the quaternion algebra (x, y) ramifies."""
     out = []
     for place in relevant_places([x, y]):
-        if hilbert_symbol(x, y, place) == -1:
+        if _hilbert_symbol(x, y, place) == -1:
             out.append(place)
     return tuple(out)
 

@@ -24,16 +24,65 @@ from liftcalc.qforms import (
 
 
 def test_from_gram_keeps_fraction_entries():
-    # a parsed Gram file shares one Fraction per distinct entry; wrapping
-    # each again would double the time of a large file
+    # a parsed Gram file shares one Fraction per distinct entry and hands an
+    # integral entry over as an int; wrapping either again would double the
+    # time of a large file
     half = Fraction(1, 2)
     q = QForm.from_gram([[half, 0], [0, half]])
     assert q.gram[0][0] is q.gram[1][1] is half
-    assert q.gram[0][1] == 0 and type(q.gram[0][1]) is Fraction
+    assert q.gram[0][1] == 0 and type(q.gram[0][1]) is int
     with pytest.raises(InputError, match="Gram matrix must be square"):
         QForm.from_gram([[1, 2], [3]])
     with pytest.raises(InputError, match="Gram matrix must be symmetric"):
         QForm.from_gram([[1, 2], [3, 4]])
+
+
+def test_other_entries_are_wrapped_once_and_padding_is_int():
+    q = QForm.from_gram([["1/2", True], [True, 0.25]])
+    assert q.gram == ((Fraction(1, 2), 1), (1, Fraction(1, 4)))
+    assert all(type(x) is Fraction for r in q.gram for x in r)
+    s = QForm.diagonal_form([3, Fraction(1, 2)]).direct_sum(hyperbolic_plane())
+    assert s.gram[0][:2] == (3, 0) and s.gram[1][1] == Fraction(1, 2)
+    assert all(type(x) is int for i, r in enumerate(s.gram) for x in r if i != 1)
+
+
+def _count_fractions(monkeypatch):
+    """The argument tuples of every Fraction that qforms constructs from here on."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(qforms, "Fraction", counting)
+    return made
+
+
+# fixed integral forms: a rank-6 Gram of discriminant 110311 and a rank-5 Gram
+# whose even Clifford algebra ramifies at 2 and 5
+_RANK6 = [[-2, 2, 4, 3, -8, -6], [2, -8, 3, 1, 2, -5], [4, 3, -8, 1, 2, 1],
+          [3, 1, 1, 2, 3, 0], [-8, 2, 2, 3, -6, 5], [-6, -5, 1, 0, 5, 2]]
+_RANK5 = [[3, 2, 0, 0, 3], [2, -2, -3, -1, -2], [0, -3, 3, 0, 1],
+          [0, -1, 0, -3, -3], [3, -2, 1, -3, 3]]
+
+
+def test_invariants_of_an_integral_form_build_only_the_diagonal(monkeypatch):
+    made = _count_fractions(monkeypatch)
+    q = QForm.from_gram(_RANK6)
+    inv = invariants(q)
+    assert inv.discriminant == 110311 and inv.signature == (2, 4)
+    assert len(made) <= q.rank
+
+
+def test_clifford_oracle_of_an_integral_form_builds_only_the_diagonal(monkeypatch):
+    made = _count_fractions(monkeypatch)
+    q = QForm.from_gram(_RANK5)
+    diagonalize(q)
+    by_diagonalize = len(made)
+    made.clear()
+    res = even_clifford_split_oracle(q)
+    assert not res.split and res.nontrivial_places == (2, 5)
+    assert len(made) == by_diagonalize
 
 
 def test_diagonalize_hyperbolic():
@@ -234,6 +283,41 @@ def test_hilbert_symbol_rejects_places_below_two():
     for place in (1, 0, -1):
         with pytest.raises(InputError, match="place must be a prime"):
             hilbert_symbol(3, 5, place)
+
+
+@pytest.mark.parametrize("place", [4, 6, 9, 15, 2.5, 3.0, "x", "3", Fraction(3), True, 561,
+                                   3215031751, (2 ** 61 - 1) * (2 ** 31 - 1), 2 ** 89 + 1])
+def test_hilbert_symbol_rejects_composite_and_non_integer_places(place):
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7; the last
+    # two are composites above the bound where Miller-Rabin is exact, which a
+    # witness still proves composite
+    with pytest.raises(InputError, match="place must be a prime"):
+        hilbert_symbol(3, 5, place)
+
+
+@pytest.mark.parametrize("place", [2 ** 89 - 1, 3317044064679887385961981])
+def test_hilbert_symbol_refuses_places_it_cannot_prove_prime(place):
+    # 2^89 - 1 is prime, and 1287836182261 * 2575672364521 is the least strong
+    # pseudoprime to all 13 bases; both lie at or above the exact bound
+    with pytest.raises(BoundError, match="cannot decide whether"):
+        hilbert_symbol(3, 5, place)
+
+
+def test_hilbert_symbol_accepts_exactly_the_primes():
+    n = 5000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, n):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    for p in range(2, n):
+        try:
+            hilbert_symbol(-1, -1, p)
+            assert sieve[p], p
+        except InputError:
+            assert not sieve[p], p
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert hilbert_symbol(3, 5, p) == 1
+        assert hilbert_symbol(3, p, p) == (1 if pow(3, (p - 1) // 2, p) == 1 else -1)
 
 
 def test_hilbert_symbol_table():
