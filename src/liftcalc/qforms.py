@@ -181,14 +181,18 @@ def _legendre(a: int, p: int) -> int:
 def _is_prime(n: int) -> bool:
     """Is the integer n >= 2 prime?  Miller-Rabin on the first 13 prime bases.
 
-    A base that witnesses compositeness proves it at any size, but a number
-    that passes all 13 is only known to be prime below _MR_EXACT_BELOW, so
-    at or above it BoundError is raised.
+    The test is exact only below _MR_EXACT_BELOW; at or above it BoundError
+    is raised before any division.
     """
+    if n >= _MR_EXACT_BELOW:
+        raise BoundError(f"cannot decide whether an integer of {n.bit_length()} bits is "
+                         f"prime: Miller-Rabin on {len(_MR_BASES)} bases is exact only "
+                         f"below {_MR_EXACT_BELOW}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 43 * 43:
+        # a composite below 43^2 has a prime factor among the bases
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
@@ -202,9 +206,6 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= _MR_EXACT_BELOW:
-        raise BoundError(f"cannot decide whether {n} is prime: Miller-Rabin on "
-                         f"{len(_MR_BASES)} bases is exact only below {_MR_EXACT_BELOW}")
     return True
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import liftcalc
 from liftcalc import acceptance
-from liftcalc.cli import json_embedding_data, json_matrix, main
+from liftcalc.cli import json_embedding_data, json_gram, json_matrix, main
 from liftcalc.cmdata import CMEmbeddingData
 from liftcalc.intmat import MAX_LIFT_BITS, MAX_LIFT_DIM, IntMatrix
 from liftcalc.lifting import MAX_CLASSIFY_RANK
@@ -523,6 +523,15 @@ def test_qform_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["signature"] == [1, 1]
     assert payload["discriminant"] == -1
+
+
+def test_json_gram_hands_integral_entries_over_as_int():
+    # integral strings, "4/2" among them, become ints; each distinct string is
+    # parsed once, so the two "1/2" entries are one Fraction
+    q = json_gram([["2", "1/2", 3], ["1/2", "4/2", "-7"], [3, "-7", "0"]])
+    assert q.gram == ((2, Fraction(1, 2), 3), (Fraction(1, 2), 2, -7), (3, -7, 0))
+    assert q.gram[0][1] is q.gram[1][0]
+    assert [type(x) for r in q.gram for x in r].count(int) == 7
 
 
 def test_clifford_cli(capsys):

@@ -79,18 +79,13 @@ def integral_entries(g):
     return [[x.numerator if x.denominator == 1 else x for x in r] for r in g]
 
 
-def _gram_line(q):
-    # str(2) == str(Fraction(2)), so a line does not tell int from Fraction entries
-    return json.dumps([[str(x) for x in r] for r in q.gram])
-
-
-def form_lines(grams):
+def form_lines(grams, fs=(diagonalize, invariants, even_clifford_split)):
     lines = []
     for g in grams:
         q = QForm.from_gram(g)
-        lines.append(_gram_line(q))
-        for f in (diagonalize, invariants, even_clifford_split):
-            lines.append(_outcome(f, q))
+        # str(2) == str(Fraction(2)), so a line does not tell int from Fraction entries
+        lines.append(json.dumps([[str(x) for x in r] for r in q.gram]))
+        lines.extend(_outcome(f, q) for f in fs)
     return lines
 
 
@@ -113,21 +108,12 @@ def seeded_integral_grams(seed=1207, count=300):
         yield [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
-def oracle_lines(grams):
-    lines = []
-    for g in grams:
-        q = QForm.from_gram(g)
-        lines.append(_gram_line(q))
-        lines.append(_outcome(even_clifford_split_oracle, q))
-    return lines
-
-
 def test_clifford_oracle_digest():
     odd = [g for g in seeded_grams() if len(g) % 2]
     integral = list(seeded_integral_grams())
-    assert _digest(oracle_lines(odd + integral)) == ORACLE_DIGEST
     odd_int = [integral_entries(g) for g in odd]
-    assert _digest(oracle_lines(odd_int + integral)) == ORACLE_DIGEST
+    for grams in (odd + integral, odd_int + integral):
+        assert _digest(form_lines(grams, (even_clifford_split_oracle,))) == ORACLE_DIGEST
 
 
 _RANK3 = [["1", "1/2", "0"], ["1/2", "-3", "2"], ["0", "2", "5"]]
