@@ -206,6 +206,78 @@ def hasse_pairwise(diag, places):
     return out
 
 
+def factor_by_trial_division(n):
+    """Prime exponents of a positive integer by trial division alone, bounded as qforms bounds it."""
+    out, p = {}, 2
+    while p * p <= n:
+        if p > qforms.TRIAL_DIVISION_CAP:
+            raise BoundError(f"factoring needs trial divisors above {qforms.TRIAL_DIVISION_CAP}")
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def invariants_per_entry(q):
+    """Signature, discriminant and -1 places, read entry by entry off a diagonalization.
+
+    The numerator and denominator of every diagonal entry are factored on
+    their own; the places are inf, 2 and every prime of odd exponent in some
+    entry, and each Hasse symbol is the product of the pairwise symbols.
+    """
+    diag = diagonalize(q)
+    classes, primes, disc_primes = [], {2}, set()
+    for d in diag:
+        odd = [p for part in (abs(d.numerator), d.denominator)
+               for p, e in factor_by_trial_division(part).items() if e % 2]
+        classes.append((-1 if d < 0 else 1) * prod(odd))
+        primes.update(odd)
+        disc_primes.symmetric_difference_update(odd)
+    pos = sum(1 for d in diag if d > 0)
+    disc = (-1) ** (len(diag) - pos) * prod(disc_primes)
+    minus = {place for place in ["inf"] + sorted(primes)
+             if prod(hilbert_symbol(a, b, place)
+                     for i, a in enumerate(classes) for b in classes[i + 1:]) == -1}
+    return (pos, len(diag) - pos), disc, minus
+
+
+def _outcome(f, q):
+    try:
+        return f(q)
+    except (InputError, BoundError) as exc:
+        return type(exc).__name__
+
+
+def seeded_dense_grams(seed=27):
+    """2 000 Gram matrices of ranks 1 to 6 with entries in [-9, 9] over 1, 2 or 3,
+    then 20 integral ones of rank 16 with entries in [-5, 5]."""
+    rng = random.Random(seed)
+    for k in range(2020):
+        n, top, dens = (rng.randint(1, 6), 9, (1, 1, 2, 3)) if k < 2000 else (16, 5, (1,))
+        a = [[Fraction(rng.randint(-top, top), rng.choice(dens)) for _ in range(n)]
+             for _ in range(n)]
+        yield [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def test_invariants_match_the_per_entry_route():
+    outcomes = []
+    for g in [*seeded_grams(), *seeded_dense_grams()]:
+        q = QForm.from_gram(g)
+        want = _outcome(invariants_per_entry, q)
+        got = _outcome(invariants, q)
+        if type(want) is str:
+            assert got == want, g
+        else:
+            assert type(got) is not str, g
+            assert (got.signature, got.discriminant,
+                    {p for p, s in got.hasse.items() if s == -1}) == want, g
+        outcomes.append(want if type(want) is str else "answered")
+    assert outcomes.count("answered") > 2500 and outcomes.count("BoundError") >= 3
+
+
 def _oracle_forms():
     yield from seeded_grams()
     # a 60 x 60 diagonal form: no pivot column has a nonzero entry below it
