@@ -502,6 +502,18 @@ def test_branch_cli(capsys):
     assert code3 == 0 and json.loads(out3)["pass"]
 
 
+@pytest.mark.parametrize("source, target, home", [
+    ("so8", "so3^3", "so9"),
+    ("so9", "so2*so3", "so5"),
+    ("so9", "gl2^2", "so8"),
+])
+def test_branch_refuses_a_source_the_target_does_not_live_in(capsys, source, target, home):
+    assert main(["branch", "--from", source, "--to", target]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"input error: target {target!r} lives inside {home}, not {source!r}\n"
+
+
 def test_dim_cli(capsys):
     code, out = run(capsys, "dim", "--group", "C3.sc", "--weight", "2,1,0")
     assert code == 0

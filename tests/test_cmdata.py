@@ -60,6 +60,49 @@ def test_validate_catches_repeated_labels():
                              "totally_real")
 
 
+_PAIR = {"a": "ac", "ac": "a"}
+_CM_PAIR = {"t": "tc", "tc": "t"}
+_TWO_PAIRS = {"a": "ac", "ac": "a", "b": "bc", "bc": "b"}
+
+# (labels, conj, cm_labels, restrict, cm_conj, mode, message); each breaks one axiom
+REFUSED_EMBEDDING_DATA = [
+    (["a", "b"], {"a": "a"}, ["t"], {"a": "t", "b": "t"}, {"t": "t"}, "general_imaginary",
+     "conj is not defined on exactly the labels"),
+    (["a", "b"], {"a": "z", "b": "b"}, ["t"], {"a": "t", "b": "t"}, {"t": "t"},
+     "general_imaginary", "conj does not map labels to labels"),
+    (["a", "ac"], _PAIR, ["t", "tc"], {"a": "t", "ac": "tc"}, {"t": "tc"}, "cm",
+     "cm_conj is not defined on exactly the cm labels"),
+    (["a", "ac"], _PAIR, ["t", "u", "w"], {"a": "t", "ac": "u"},
+     {"t": "u", "u": "w", "w": "t"}, "general_imaginary", "cm_conj is not an involution"),
+    (["a", "ac"], _PAIR, ["t", "tc"], {"a": "t"}, _CM_PAIR, "cm",
+     "restrict is not defined on exactly the labels"),
+    (["a", "ac"], _PAIR, ["t", "tc"], {"a": "t", "ac": "z"}, _CM_PAIR, "cm",
+     "restrict does not land in the cm labels"),
+    (["a", "ac", "b", "bc"], _TWO_PAIRS, ["t", "tc"],
+     {"a": "t", "ac": "t", "b": "tc", "bc": "tc"}, _CM_PAIR, "general_imaginary",
+     "restrict is not conjugation-equivariant at '(a|ac|b|bc)'"),
+    (["a", "ac"], _PAIR, ["t", "tc"], {"a": "t", "ac": "tc"}, _CM_PAIR, "totally_real",
+     "totally_real mode requires trivial conjugation"),
+    # with trivial conj, equivariance forces cm_conj to fix every image of
+    # restrict, so a nontrivial cm_conj is refused before the totally_real check
+    (["v", "w"], {"v": "v", "w": "w"}, ["t", "tc"], {"v": "t", "w": "tc"}, _CM_PAIR,
+     "totally_real", "restrict is not conjugation-equivariant at '(v|w)'"),
+    (["a", "ac", "b", "bc"], _TWO_PAIRS, ["t", "tc"],
+     {"a": "t", "ac": "tc", "b": "t", "bc": "tc"}, _CM_PAIR, "cm",
+     "cm mode requires a bijective restriction"),
+    (["v"], {"v": "v"}, ["t"], {"v": "t"}, {"t": "t"}, "cm",
+     "cm mode requires fixed-point-free cm conjugation"),
+]
+
+
+@pytest.mark.parametrize("labels, conj, cm_labels, restrict, cm_conj, mode, message",
+                         REFUSED_EMBEDDING_DATA, ids=[r[-1] for r in REFUSED_EMBEDDING_DATA])
+def test_embedding_data_refusals_name_the_axiom(labels, conj, cm_labels, restrict, cm_conj,
+                                                mode, message):
+    with pytest.raises(InputError, match=f"^invalid embedding data: {message}$"):
+        CMEmbeddingData.make(labels, conj, cm_labels, restrict, cm_conj, mode)
+
+
 def test_hecke_cm_always_type_a():
     data = CMEmbeddingData.cm_pairs(2)
     rng = random.Random(0)

@@ -107,6 +107,30 @@ def test_validate_infinite_type():
     assert "finite type" in validate(bad)
 
 
+# (simple roots, simple coroots, rank, diagnostic); each breaks one axiom before the minor loop
+REFUSED_DATA = [
+    ([[2]], [[1], [1]], None, "number of simple roots and coroots differ"),
+    ([[2, 0]], [[1]], 2, "vector length does not match rank"),
+    ([[1, 0], [0, 1]], [[2, 1], [1, 2]], None, "positive off-diagonal Cartan entry at (0, 1)"),
+    ([[1, 0], [0, 1]], [[2, -1], [0, 2]], None, "asymmetric Cartan vanishing at (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("roots, coroots, rank, diagnostic", REFUSED_DATA,
+                         ids=[r[-1] for r in REFUSED_DATA])
+def test_validate_names_the_broken_axiom(roots, coroots, rank, diagnostic):
+    assert validate(BasedRootDatum.make(roots, coroots, rank)) == diagnostic
+
+
+@pytest.mark.parametrize("name, message", [
+    ("GSp5", "GSp rank must be even"),
+    ("SO6", "use simple_type for even orthogonal data"),
+])
+def test_datum_by_name_refuses_odd_gsp_and_even_so(name, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        datum_by_name(name)
+
+
 # singular generalized Cartan matrices, of affine types A1, A2 (twisted),
 # A2, C2, G2 and D4: every proper principal minor is positive, det C = 0
 SINGULAR_CARTANS = [
