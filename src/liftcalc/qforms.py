@@ -1,23 +1,29 @@
 """Rational quadratic forms: diagonalization, Hasse symbols, Clifford splitness.
 
-Gram entries are ``int`` or ``Fraction``: an integral form stays on plain
-integers from its Gram matrix to its square classes, since the local
-formulas read only signs, valuations and square classes (Serre, *A Course
-in Arithmetic*, ch. III-IV), and integers carry all three.  Only the
-entries ``diagonalize`` returns are Fractions.
+Gram entries are ``int`` or ``Fraction``, and any other entry raises
+InputError: an integral form stays on plain integers from its Gram matrix
+to its square classes, since the local formulas read only signs,
+valuations and square classes (Serre, *A Course in Arithmetic*, ch.
+III-IV), and integers carry all three.  Only the entries ``diagonalize``
+returns are Fractions.
 
-Hilbert symbols are computed by the explicit local formulas (Legendre
-symbols at odd primes, the epsilon/omega formulas at 2, signs at the
-real place), and the product formula is asserted on every computed
-form.  The even Clifford algebra of an odd-rank form is declared split
-from the Witt-invariant table; an independent structure-constants route
-(explicit Clifford multiplication) is provided for cross-checks.
+The invariants are read off the leading minors of a diagonalization, and
+only the determinant and the least common denominator of the Gram matrix
+are factored, so a report depends on the form, not on its basis.  Hilbert
+symbols are computed by the explicit local formulas (Legendre symbols at
+odd primes, the epsilon/omega formulas at 2, signs at the real place),
+and the product formula is asserted on every computed form.  The even
+Clifford algebra of an odd-rank form is declared split from the
+Witt-invariant table; an independent structure-constants route (explicit
+Clifford multiplication) is provided for cross-checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .intmat import BoundError, InputError
 
@@ -31,9 +37,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-def _exact(x):
-    """x itself when it is an int or a Fraction; anything else wrapped once in a Fraction."""
-    return x if type(x) in (int, Fraction) else Fraction(x)
+def _require_rational(values):
+    """Refuse any value that is not an int or a Fraction, such as a float or a string."""
+    for x in values:
+        if type(x) not in (int, Fraction):
+            raise InputError(f"expected an int or a Fraction, not {x!r}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,9 @@ class QForm:
 
     @staticmethod
     def from_gram(rows) -> "QForm":
-        """The form of a square symmetric Gram matrix.
-
-        An int or Fraction entry is kept as it is; any other entry is
-        wrapped once in a Fraction.
-        """
-        g = tuple(tuple(map(_exact, r)) for r in rows)
+        """The form of a square symmetric Gram matrix of int or Fraction entries."""
+        g = tuple(map(tuple, rows))
+        _require_rational(x for r in g for x in r)
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
@@ -60,7 +65,8 @@ class QForm:
 
     @staticmethod
     def diagonal_form(entries) -> "QForm":
-        entries = list(map(_exact, entries))
+        entries = list(entries)
+        _require_rational(entries)
         n = len(entries)
         return QForm(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
                            for i in range(n)), n)
@@ -134,40 +140,43 @@ def diagonalize(q: QForm) -> list:
 
 
 def _factor(n: int) -> dict:
-    """Prime exponents of a positive integer, by bounded trial division."""
-    out = {}
-    p = 2
-    while p * p <= n:
-        if p > TRIAL_DIVISION_CAP:
-            raise BoundError(f"factoring needs trial divisors above {TRIAL_DIVISION_CAP}")
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = 1
+    """Prime exponents of a positive integer, by bounded trial division.
+
+    Division stops as soon as Miller-Rabin proves the cofactor prime or the
+    square of a prime, which is checked before the first divisor and again
+    after each prime is divided out.
+    """
+    out, p = {}, 2
+    while n > 1:
+        if n < _MR_EXACT_BELOW:
+            if _is_prime(n):
+                return {**out, n: 1}
+            r = isqrt(n)
+            if r * r == n and _is_prime(r):
+                return {**out, r: 2}
+        while n % p:
+            p += 1 if p == 2 else 2
+            if p > TRIAL_DIVISION_CAP:
+                raise BoundError(f"factoring needs trial divisors above {TRIAL_DIVISION_CAP}")
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
     return out
 
 
-def _square_class(x) -> tuple:
-    """The squarefree class of a nonzero int or Fraction and the primes dividing it.
+def squarefree_class(x) -> int:
+    """Squarefree integer representing the square class of a nonzero int or Fraction.
 
     Numerator and denominator are coprime, so the class is the product of
     their squarefree parts, and each is factored on its own.
     """
+    _require_rational([x])
     if x == 0:
         raise InputError("square class of zero")
-    primes = [p for part in (abs(x.numerator), x.denominator)
-              for p, e in _factor(part).items() if e % 2]
-    return (-1 if x < 0 else 1) * prod(primes), primes
-
-
-def squarefree_class(x) -> int:
-    """Squarefree integer representing the square class of a nonzero rational."""
-    return _square_class(_exact(x))[0]
+    return (-1 if x < 0 else 1) * prod(p for part in (abs(x.numerator), x.denominator)
+                                       for p, e in _factor(part).items() if e % 2)
 
 
 def _legendre(a: int, p: int) -> int:
@@ -209,18 +218,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def hilbert_symbol(a: int, b: int, place) -> int:
+def hilbert_symbol(a, b, place) -> int:
     """The local Hilbert symbol (a, b) at a prime or "inf".
 
-    The place is checked here: "inf", or an int that is prime.  A place of
-    another type, or below 2, or composite, raises InputError, and a place
-    whose primality is not decided exactly raises BoundError.
+    a and b are nonzero ints or Fractions; a Fraction is read at its
+    numerator times its denominator, which differs from it by a square.
+    The place is checked here: "inf", or an int that is prime.  An entry or
+    place of another type, a place below 2 or composite, raises InputError,
+    and a place whose primality is not decided exactly raises BoundError.
     """
+    _require_rational((a, b))
     if a == 0 or b == 0:
         raise InputError("Hilbert symbol needs nonzero entries")
     if place != "inf" and (type(place) is not int or place < 2 or not _is_prime(place)):
         raise InputError(f"Hilbert symbol place must be a prime or 'inf', not {place!r}")
-    return _hilbert_symbol(a, b, place)
+    return _hilbert_symbol(a.numerator * a.denominator, b.numerator * b.denominator, place)
 
 
 def _hilbert_symbol(a: int, b: int, p) -> int:
@@ -259,7 +271,8 @@ class QFormInvariants:
     rank: int
     signature: tuple            # (positives, negatives)
     discriminant: int           # squarefree representative of det
-    hasse: dict                 # place -> +-1 over the relevant places and "inf"
+    hasse: dict                 # place -> +-1 at inf, 2, the primes of the discriminant
+                                # and every place where the symbol is -1
 
     def to_json(self):
         return {
@@ -270,44 +283,33 @@ class QFormInvariants:
         }
 
 
-def relevant_places(classes) -> list:
-    places = {2}
-    for a in classes:
-        places.update(_factor(abs(a)))
-    return ["inf"] + sorted(places)
-
-
 def invariants(q: QForm) -> QFormInvariants:
     """Signature, discriminant square class, and Hasse symbols of a form.
 
-    The Hasse invariant at each place is the product of the pairwise
-    Hilbert symbols of a diagonalization, taken as n - 1 symbols against
-    the running discriminant; the global product formula is verified
-    before returning.
+    Everything is read off the leading minors D_j = a_1 ... a_j of a
+    diagonalization, each held as its numerator times its denominator,
+    which differs from D_j by a square.  The Hasse symbol at v, the product
+    of (a_i, a_j)_v over i < j, is the product of (D_{j-1}, -D_j)_v over j,
+    by bilinearity and (a, a) = (a, -1).  For a Gram matrix G with least
+    common denominator m, only inf, 2 and the primes of m det G can carry
+    -1 (Cassels, *Rational Quadratic Forms*, ch. 8), so det G = D_n and m
+    are the only numbers factored.  The report lists inf, 2, the primes of
+    the discriminant and every place whose symbol is -1; the global product
+    formula is verified over all candidate places before returning.
     """
     diag = diagonalize(q)
-    classes, primes = [], {2}
-    for d in diag:
-        c, ps = _square_class(d)
-        classes.append(c)
-        primes.update(ps)
+    minors = [d.numerator * d.denominator for d in accumulate(diag, mul, initial=1)]
     pos = sum(1 for d in diag if d > 0)
-    neg = len(diag) - pos
-    # squarefree a, b with g = gcd(a, b): a b = (a/g)(b/g) g^2, so the
-    # running discriminant class d_j of a_1 ... a_j needs no factoring
-    discs = [1]
-    for c in classes:
-        g = gcd(discs[-1], c)
-        discs.append((discs[-1] // g) * (c // g))
-    disc = discs[-1]
-    # bilinearity: the product of (a_i, a_j) over i < j is the product of
-    # (d_{j-1}, a_j) over j >= 2, n - 1 symbols per place
-    pairs = list(zip(discs[1:-1], classes[1:]))
-    places = ["inf"] + sorted(primes)
-    hasse = {place: prod(_hilbert_symbol(d, c, place) for d, c in pairs) for place in places}
-    if prod(hasse.values()) != 1:
+    det = _factor(abs(minors[-1]))
+    disc = (-1 if minors[-1] < 0 else 1) * prod(p for p, e in det.items() if e % 2)
+    m = lcm(*(x.denominator for r in q.gram for x in r))
+    places = ["inf", *sorted({2, *det, *_factor(m)})]
+    symbols = {v: prod(_hilbert_symbol(a, -b, v) for a, b in zip(minors, minors[1:]))
+               for v in places}
+    if prod(symbols.values()) != 1:
         raise AssertionError("Hilbert product formula violated; symbol computation broken")
-    return QFormInvariants(q.rank, (pos, neg), disc, hasse)
+    hasse = {v: s for v, s in symbols.items() if v in ("inf", 2) or s == -1 or disc % v == 0}
+    return QFormInvariants(q.rank, (pos, len(diag) - pos), disc, hasse)
 
 
 @dataclass(frozen=True)
@@ -511,12 +513,9 @@ def even_clifford_split_oracle(q: QForm) -> CliffordSplitness:
 
 
 def quaternion_places(x: int, y: int) -> tuple:
-    """Places where the quaternion algebra (x, y) ramifies."""
-    out = []
-    for place in relevant_places([x, y]):
-        if _hilbert_symbol(x, y, place) == -1:
-            out.append(place)
-    return tuple(out)
+    """Places where the quaternion algebra (x, y) ramifies, among inf, 2 and the primes of x y."""
+    places = ["inf", *sorted({2, *_factor(abs(x)), *_factor(abs(y))})]
+    return tuple(v for v in places if _hilbert_symbol(x, y, v) == -1)
 
 
 def quaternion_splits_by_search(x: int, y: int) -> bool:

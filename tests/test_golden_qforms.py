@@ -19,12 +19,12 @@ from liftcalc.qforms import (
     invariants,
 )
 
-FORMS_DIGEST = "cd54cfbdede8dc2c6d8a52a670d119316203e0c5c9d04de4ef6acdc8678e20f4"
+FORMS_DIGEST = "5238b71fda47d744139be36caa6b0f7ae6e4f948698a29f6af7207be0e02dd93"
 ORACLE_DIGEST = "aadfc44f494c749abae7b7a2ed4ecf22cb31e550981efe86da2438899aca8ad9"
 CLI_DIGESTS = {
     "qform-a2": "759580427583974c2bba0f6b29c98c20c64ccf97b0172ef6f0bca95cb61b8703",
-    "qform-rank3": "54ba81ca8acaf3c255b7e5003eb2d1b2b600cafc5836bd8426a28cf8dd8177ab",
-    "qform-rank3-table": "08b803144f25fbadc708f0d4e04a195f73dee74bf9292b874b22e25713825468",
+    "qform-rank3": "0e96eafc7034f02ef877bee5d015788cbad3cae13584876784be8155495971d4",
+    "qform-rank3-table": "2a43a526006480807f0ec6f88e9212eb7b4e5494b11f12afc46be14d5a1b03d4",
     "qform-zero-diagonal": "f3462ecb3d25375e7fb4201845f225b54218859dc96986cd6d0803a608803ae1",
     "qform-hyperbolic": "2e7b778d3cc530dfce07be691ec307fe9cb38daa59e299d7efb6e37a6bd472fb",
     "qform-degenerate": "ceed2c0aeccb05d01306a2353c50c1e2a8062dcb9c2cf73b337d6480a085db36",
