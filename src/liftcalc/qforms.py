@@ -139,30 +139,30 @@ def diagonalize(q: QForm) -> list:
     return diag
 
 
-def _factor(n: int) -> dict:
+def _factor(n: int, parts=()) -> dict:
     """Prime exponents of a positive integer, by bounded trial division.
 
-    Division stops as soon as Miller-Rabin proves the cofactor prime or the
-    square of a prime, which is checked before the first divisor and again
-    after each prime is divided out.
+    n is cut by repeated gcds with each part in turn, then with what is left
+    of itself, so large primes of different parts land in different pieces.
+    Division of a piece stops once Miller-Rabin proves its cofactor prime,
+    checked before the first divisor and after each prime.
     """
-    out, p = {}, 2
-    while n > 1:
-        if n < _MR_EXACT_BELOW:
-            if _is_prime(n):
-                return {**out, n: 1}
-            r = isqrt(n)
-            if r * r == n and _is_prime(r):
-                return {**out, r: 2}
-        while n % p:
-            p += 1 if p == 2 else 2
-            if p > TRIAL_DIVISION_CAP:
-                raise BoundError(f"factoring needs trial divisors above {TRIAL_DIVISION_CAP}")
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
+    out = {}
+    for h in [*parts, n]:
+        while (x := gcd(n, h)) > 1:
+            n //= x
+            p = 2
+            while x > 1:
+                if x < _MR_EXACT_BELOW and _is_prime(x):
+                    p = x  # a prime cofactor is divided out whole below
+                while x % p:
+                    p += 1 if p == 2 else 2
+                    if p > TRIAL_DIVISION_CAP:
+                        raise BoundError(
+                            f"factoring needs trial divisors above {TRIAL_DIVISION_CAP}")
+                while x % p == 0:
+                    x //= p
+                    out[p] = out.get(p, 0) + 1
     return out
 
 
@@ -221,11 +221,10 @@ def _is_prime(n: int) -> bool:
 def hilbert_symbol(a, b, place) -> int:
     """The local Hilbert symbol (a, b) at a prime or "inf".
 
-    a and b are nonzero ints or Fractions; a Fraction is read at its
-    numerator times its denominator, which differs from it by a square.
-    The place is checked here: "inf", or an int that is prime.  An entry or
-    place of another type, a place below 2 or composite, raises InputError,
-    and a place whose primality is not decided exactly raises BoundError.
+    a and b are nonzero ints or Fractions, a Fraction read at numerator times
+    denominator, a square multiple of it; the place is "inf" or a prime int.
+    Any other entry or place raises InputError, and a place whose primality
+    is not decided exactly raises BoundError.
     """
     _require_rational((a, b))
     if a == 0 or b == 0:
@@ -271,8 +270,7 @@ class QFormInvariants:
     rank: int
     signature: tuple            # (positives, negatives)
     discriminant: int           # squarefree representative of det
-    hasse: dict                 # place -> +-1 at inf, 2, the primes of the discriminant
-                                # and every place where the symbol is -1
+    hasse: dict                 # place -> +-1 at inf, 2, primes of disc, -1 places
 
     def to_json(self):
         return {
@@ -292,18 +290,20 @@ def invariants(q: QForm) -> QFormInvariants:
     of (a_i, a_j)_v over i < j, is the product of (D_{j-1}, -D_j)_v over j,
     by bilinearity and (a, a) = (a, -1).  For a Gram matrix G with least
     common denominator m, only inf, 2 and the primes of m det G can carry
-    -1 (Cassels, *Rational Quadratic Forms*, ch. 8), so det G = D_n and m
-    are the only numbers factored.  The report lists inf, 2, the primes of
-    the discriminant and every place whose symbol is -1; the global product
-    formula is verified over all candidate places before returning.
+    -1 (Cassels, *Rational Quadratic Forms*, ch. 8), so only det G = D_n and
+    m are factored, each cut first by its gcds with the diagonal entries.
+    The report lists inf, 2, the primes of the discriminant and every -1
+    place; the product formula is verified over all candidate places.
     """
     diag = diagonalize(q)
+    parts = [x for d in diag for x in (abs(d.numerator), d.denominator) if x > 1]
     minors = [d.numerator * d.denominator for d in accumulate(diag, mul, initial=1)]
     pos = sum(1 for d in diag if d > 0)
-    det = _factor(abs(minors[-1]))
+    det = _factor(abs(minors[-1]), parts)
     disc = (-1 if minors[-1] < 0 else 1) * prod(p for p, e in det.items() if e % 2)
-    m = lcm(*(x.denominator for r in q.gram for x in r))
-    places = ["inf", *sorted({2, *det, *_factor(m)})]
+    # a prime of m that divides no diagonal entry divides no minor, so all its symbols are 1
+    m = gcd(lcm(*(x.denominator for r in q.gram for x in r)), prod(parts))
+    places = ["inf", *sorted({2, *det, *_factor(m, parts)})]
     symbols = {v: prod(_hilbert_symbol(a, -b, v) for a, b in zip(minors, minors[1:]))
                for v in places}
     if prod(symbols.values()) != 1:

@@ -267,9 +267,26 @@ def seeded_dense_grams(seed=27):
         yield [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
+def seeded_large_prime_grams(seed=31):
+    """400 Gram matrices U^T D U of ranks 1 to 5, U unit upper triangular with
+    entries in [-2, 2], so that D's entries are the diagonalization's.  Their
+    numerators and denominators draw on four primes just above the
+    trial-division cap, so det G holds several of them."""
+    rng = random.Random(seed)
+    big = (1000003, 1000033, 1000037, 1000039)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        d = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30) * rng.choice((1, *big)),
+                      rng.randint(1, 4) * rng.choice((1, 1, 1, *big))) for _ in range(n)]
+        u = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+             for i in range(n)]
+        yield [[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+
+
 def test_invariants_match_the_per_entry_route():
     outcomes = []
-    for g in [*seeded_grams(), *seeded_dense_grams()]:
+    for g in [*seeded_grams(), *seeded_dense_grams(), *seeded_large_prime_grams()]:
         q = QForm.from_gram(g)
         want = _outcome(invariants_per_entry, q)
         got = _outcome(invariants, q)
@@ -284,8 +301,10 @@ def test_invariants_match_the_per_entry_route():
             _, disc, minus = want
             assert (got.signature, got.discriminant,
                     {p for p, s in got.hasse.items() if s == -1}) == want, g
-            # listed: inf, 2, the primes of the discriminant and the -1 places
-            assert set(got.hasse) == {"inf", 2, *factor_by_trial_division(abs(disc)), *minus}
+            # listed: inf, 2, the primes of the discriminant and the -1 places;
+            # disc is squarefree, so its listed primes multiply to |disc| when all are there
+            of_disc = {p for p in got.hasse if p != "inf" and disc % p == 0}
+            assert set(got.hasse) == {"inf", 2, *of_disc, *minus} and prod(of_disc) == abs(disc)
         outcomes.append(want if type(want) is str else "answered")
     assert outcomes.count("answered") > 2500 and "answered now" in outcomes
 
@@ -324,7 +343,8 @@ def test_reports_do_not_depend_on_the_basis():
 def test_an_integral_form_is_factored_at_most_twice(monkeypatch):
     calls = []
     real = qforms._factor
-    monkeypatch.setattr(qforms, "_factor", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(qforms, "_factor",
+                        lambda n, parts=(): calls.append(n) or real(n, parts))
     assert invariants(QForm.from_gram(_RANK6)).discriminant == 110311
     assert len(calls) <= 2
 
@@ -585,12 +605,37 @@ def test_squarefree_class_bounded():
 
 def test_invariants_large_prime_across_entries():
     # det = 105 * 1000003^2 / 4 holds 1000003^2, past the trial-division
-    # cap; Miller-Rabin proves the cofactor the square of a prime
+    # cap; its gcds with the two entries that hold 1000003 split it apart
     p = 1000003
     inv = invariants(QForm.diagonal_form([3 * p, Fraction(5 * p, 4), 7]))
     assert inv.discriminant == 105
     assert inv.signature == (3, 0)
     assert inv.hasse == {"inf": 1, 2: -1, 3: -1, 5: -1, 7: 1, p: -1}
+
+
+def test_large_primes_in_different_entries_are_split_apart():
+    p, q = 1000003, 1000033
+    with pytest.raises(BoundError):
+        squarefree_class(p * q)
+    inv = invariants(QForm.diagonal_form([p, q]))
+    assert (inv.signature, inv.discriminant) == ((2, 0), p * q)
+    assert inv.hasse == hasse_pairwise([p, q], ["inf", 2, p, q])
+    rank3 = QForm.diagonal_form([1, p, -q])
+    inv = invariants(rank3)
+    assert (inv.signature, inv.discriminant, {v for v, s in inv.hasse.items() if s == -1}) \
+        == invariants_per_entry(rank3)
+    # the even Clifford algebra of <1, p, -q> is the quaternion algebra (-p, q)
+    split = even_clifford_split(rank3)
+    assert set(split.nontrivial_places) == set(quaternion_places(-p, q))
+    assert split.split == (not split.nontrivial_places)
+
+
+def test_a_denominator_that_leaves_the_diagonal_is_not_factored():
+    # m = (p q)^2 divides no diagonal entry, so none of its primes is a place
+    pq = 1000003 * 1000033
+    g = [[1, Fraction(1, pq)], [Fraction(1, pq), 1 + Fraction(1, pq * pq)]]
+    assert diagonalize(QForm.from_gram(g)) == [1, 1]
+    assert invariants(QForm.from_gram(g)) == invariants(QForm.diagonal_form([1, 1]))
 
 
 def test_quaternion_search_agrees_with_symbols():
