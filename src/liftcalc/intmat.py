@@ -275,6 +275,11 @@ class FinAbGroup:
             raise InputError("negative free rank")
 
     @property
+    def moduli(self) -> tuple:
+        """Invariant factors, then a 0 (exact) per Z summand: congruence_system's moduli."""
+        return self.invariant_factors + (0,) * self.free_rank
+
+    @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors and self.free_rank == 0
 

@@ -513,7 +513,12 @@ def even_clifford_split_oracle(q: QForm) -> CliffordSplitness:
 
 
 def quaternion_places(x: int, y: int) -> tuple:
-    """Places where the quaternion algebra (x, y) ramifies, among inf, 2 and the primes of x y."""
+    """Places where the quaternion algebra (x, y) ramifies, among inf, 2 and the primes of x y.
+
+    x and y are nonzero ints; any other entry raises InputError.
+    """
+    if any(type(v) is not int or v == 0 for v in (x, y)):
+        raise InputError(f"quaternion algebra needs nonzero int entries, not ({x!r}, {y!r})")
     places = ["inf", *sorted({2, *_factor(abs(x)), *_factor(abs(y))})]
     return tuple(v for v in places if _hilbert_symbol(x, y, v) == -1)
 

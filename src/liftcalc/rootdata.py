@@ -198,33 +198,30 @@ def longest_element_is_minus_one(rd: BasedRootDatum) -> bool:
 class CenterMap:
     """X(Z_G) = X(T)/Q in canonical coordinates, with the quotient projection.
 
-    ``tor_rows`` and ``free_rows`` are rows of the Smith transform: the
-    class of chi in X(Z_G) is (tor_rows * chi mod moduli, free_rows * chi).
+    ``rows`` holds one row of the Smith transform per canonical generator
+    of ``group``, torsion generators first: the class of chi in X(Z_G) is
+    rows * chi, coordinate i read mod group.moduli[i] (0 leaves it exact).
     """
 
     group: FinAbGroup
-    moduli: tuple
-    tor_rows: IntMatrix
-    free_rows: IntMatrix
+    rows: IntMatrix
+
+    def reduce(self, coords):
+        """Canonical X(Z_G) coordinates, each reduced mod its entry of group.moduli."""
+        return tuple(v % d if d else v for v, d in zip(coords, self.group.moduli))
 
     def class_of(self, chi):
-        chi = tuple(int(x) for x in chi)
-        tor = tuple(v % d for v, d in zip(self.tor_rows.apply(chi), self.moduli))
-        free = self.free_rows.apply(chi)
-        return tor, free
+        return self.reduce(self.rows.apply(int(x) for x in chi))
 
 
 def center_characters(rd: BasedRootDatum) -> CenterMap:
-    """Characters of the center: X(T)/(root lattice), computed by SNF."""
+    """Characters of the center, X(T)/(root lattice), read off the Smith form U A V = D
+    of the simple roots: the map's rows are the rows of U past those of factor 1."""
     _require_valid(rd)
     form = smith_normal_form(_simple_root_matrix(rd))
-    tor_idx = [i for i in range(form.rank) if form.D[i, i] > 1]
-    free_idx = list(range(form.rank, rd.rank))
-    moduli = tuple(form.D[i, i] for i in tor_idx)
-    tor_rows = IntMatrix(len(tor_idx), rd.rank, tuple(form.U.row(i) for i in tor_idx))
-    free_rows = IntMatrix(len(free_idx), rd.rank, tuple(form.U.row(i) for i in free_idx))
-    group = FinAbGroup(moduli, len(free_idx))
-    return CenterMap(group, moduli, tor_rows, free_rows)
+    ones = form.invariant_factors.count(1)
+    group = FinAbGroup(form.invariant_factors[ones:], rd.rank - form.rank)
+    return CenterMap(group, IntMatrix(rd.rank - ones, rd.rank, form.U.entries[ones:]))
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +456,11 @@ class CentralQuotientData:
     @cached_property
     def _class_system(self):
         """The congruence system of embed * basis_change."""
-        return congruence_system(self.embed * self.basis_change,
-                                 self.center.moduli + (0,) * self.center.group.free_rank)
+        return congruence_system(self.embed * self.basis_change, self.center.group.moduli)
 
     def normalized_class(self, chi):
         """Coordinates (k_i mod d_i; free part) of the class of chi in X(Z_G)."""
-        tor, free = self.center.class_of(chi)
-        x = solve_linear(self._class_system, tuple(tor) + tuple(free))
+        x = solve_linear(self._class_system, self.center.class_of(chi))
         if x is None:
             raise AssertionError("normalized coordinate solve failed on a surjective map")
         ks = tuple(x[i] % self.d[i] for i in range(self.r))
@@ -484,67 +479,52 @@ class CentralQuotientData:
         original basis); membership means both are integral and their
         restrictions to Z_G agree.
         """
-        chi = tuple(Fraction(x) for x in chi)
-        psi = tuple(Fraction(x) for x in psi)
-        if any(x.denominator != 1 for x in chi + psi):
+        if any(Fraction(x).denominator != 1 for x in (*chi, *psi)):
             return False
-        chi_i = tuple(int(x) for x in chi)
-        psi_i = tuple(int(x) for x in psi)
-        tor_c, free_c = self.center.class_of(chi_i)
-        cls_z = self.embed.apply(psi_i)
-        tor_z = tuple(cls_z[i] % m for i, m in enumerate(self.center.moduli))
-        free_z = tuple(cls_z[len(self.center.moduli):])
-        return tor_c == tor_z and tuple(free_c) == free_z
+        return self.center.class_of(chi) == self.center.reduce(
+            self.embed.apply(int(x) for x in psi))
+
 
 def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotientData:
     """Normalize an embedding of Z_G into a split torus.
 
     ``embed`` gives, column by column, the canonical X(Z_G) coordinates
-    (torsion generators first, then free generators) of the restriction
-    of each basis character of the torus.  The map must be surjective.
-    An embedding past MAX_LIFT_DIM or MAX_LIFT_BITS raises BoundError
-    before any Smith form is taken.
+    of the restriction of each basis character of the torus, read mod
+    ``center.group.moduli``; the map must be surjective.  An empty kernel
+    and a finite center take the same path, through empty matrices.  An
+    embedding past MAX_LIFT_DIM or MAX_LIFT_BITS raises BoundError before
+    any Smith form is taken.
     """
     require_lift_size(embed, "embedding")
     center = center_characters(rd)
-    r0 = len(center.moduli)
-    f0 = center.group.free_rank
-    if embed.rows != r0 + f0:
+    moduli = center.group.moduli
+    if embed.rows != len(moduli):
         raise InputError(
-            f"embed must have {r0 + f0} rows (canonical generators of the center characters)")
+            f"embed must have {len(moduli)} rows (canonical generators of the center characters)")
     m = embed.cols
     # surjectivity: together with the relations d_i * gen_i = 0, the columns
-    # of embed must span all of Z^(r0+f0); the kernel below factors the same matrix
-    moduli = tuple(center.moduli) + (0,) * f0
+    # of embed must span all of X(Z_G); the kernel below factors the same matrix
     if not cokernel_invariants(congruence_system(embed, moduli)).is_trivial:
         raise InputError("embedding of the center is not surjective on character groups")
     kerb = congruence_kernel_basis(embed, moduli)
     k = len(kerb)
-    if k:
-        M = IntMatrix.from_rows([list(row) for row in zip(*kerb)])
-        form = smith_normal_form(M)
-        uinv = invert_unimodular(form.U)
-        facs = list(form.invariant_factors)
-    else:
-        uinv = IntMatrix.identity(m)
-        facs = []
+    form = smith_normal_form(IntMatrix(k, m, tuple(kerb)).transpose())
+    uinv = invert_unimodular(form.U)
+    facs = form.invariant_factors
     # reorder the new basis: torsion directions (factor > 1) first ascending,
     # then fully-in-kernel directions (factor 1), then free directions
     tor_order = [i for i, d in enumerate(facs) if d > 1]
     triv_order = [i for i, d in enumerate(facs) if d == 1]
-    free_order = list(range(k, m))
-    order = tor_order + triv_order + free_order
+    order = tor_order + triv_order + list(range(k, m))
     basis_change = IntMatrix.from_rows(
         [[uinv[i, j] for j in order] for i in range(m)])
     d = tuple(facs[i] for i in tor_order)
-    group_from_quotient = FinAbGroup(d, m - k)
-    if group_from_quotient != center.group:
+    if FinAbGroup(d, m - k) != center.group:
         raise AssertionError("quotient of X(Ztilde) does not match X(Z_G)")
     # lifts of the normalized torsion basis classes to X(T)
     n = rd.rank
     EN = embed * basis_change
-    proj = center.tor_rows.entries + center.free_rows.entries
-    B = congruence_system(IntMatrix(r0 + f0, n, proj), moduli)
+    B = congruence_system(center.rows, moduli)
     torsion_lifts = []
     for i in range(len(d)):
         x = solve_linear(B, EN.col(i))
@@ -552,17 +532,21 @@ def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotie
             raise AssertionError("restriction X(T) -> X(Z_G) failed to hit a class")
         torsion_lifts.append(x[:n])
     # X(Ttilde) = {(chi, psi) : chi and psi agree on Z_G}
-    Pi = IntMatrix(r0 + f0, n + m, tuple(p + tuple(-x for x in e)
-                                         for p, e in zip(proj, embed.entries)))
-    fiber = congruence_kernel_basis(Pi, moduli)
-    fiber_basis = IntMatrix.from_rows([list(row) for row in zip(*fiber)])
+    fiber = congruence_kernel_basis(_pair_restriction(center, embed), moduli)
     cqd = CentralQuotientData(
         G=rd, center=center, embed=embed, ztilde_rank=m,
         basis_change=basis_change, d=d, trivial_dirs=len(triv_order),
-        free_dirs=m - k, torsion_lifts=tuple(tuple(u) for u in torsion_lifts),
-        fiber_basis=fiber_basis)
+        free_dirs=m - k, torsion_lifts=tuple(torsion_lifts),
+        fiber_basis=IntMatrix(len(fiber), n + m, tuple(fiber)).transpose())
     _verify_defect_sequence(cqd)
     return cqd
+
+
+def _pair_restriction(center, embed):
+    """The map X(T) + X(Ztilde) -> X(Z_G), (chi, psi) -> class(chi) - embed psi."""
+    return IntMatrix(embed.rows, center.rows.cols + embed.cols,
+                     tuple(p + tuple(-x for x in e)
+                           for p, e in zip(center.rows.entries, embed.entries)))
 
 
 def _verify_defect_sequence(cqd: CentralQuotientData):
@@ -570,29 +554,22 @@ def _verify_defect_sequence(cqd: CentralQuotientData):
 
     0 -> Hom(X(Z_G), Z) -> X_*(T) + X_*(Ztilde) -> X_*(Ttilde) -> Ext^1(X(Z_G), Z) -> 0
     """
-    rd = cqd.G
-    n, m = rd.rank, cqd.ztilde_rank
-    f0 = cqd.center.group.free_rank
-    r0 = len(cqd.center.moduli)
+    n, m = cqd.G.rank, cqd.ztilde_rank
+    pair = _pair_restriction(cqd.center, cqd.embed)
+    free = [pair.row(i) for i, d in enumerate(cqd.center.group.moduli) if d == 0]
+    f0 = len(free)
     B = cqd.fiber_basis
-    kdim = B.cols
     # rank bookkeeping: the alternating sum must vanish
-    if f0 - (n + m) + kdim - 0 != 0:
+    if f0 - (n + m) + B.cols != 0:
         raise AssertionError("defect sequence rank mismatch")
     # delta: a functional on the free part of X(Z_G) pulls back to the pair lattice
-    delta_cols = []
-    for t in range(f0):
-        row = list(cqd.center.free_rows.row(t)) + [-x for x in cqd.embed.row(r0 + t)]
-        delta_cols.append(row)
+    delta = IntMatrix(f0, n + m, tuple(free)).transpose()
     eps = B.transpose()
-    if delta_cols:
-        delta = IntMatrix.from_rows([list(c) for c in zip(*delta_cols)])
-        comp = eps * delta
-        if any(any(x != 0 for x in row) for row in comp.entries):
-            raise AssertionError("defect sequence: composite at the pair lattice nonzero")
-        dform = smith_normal_form(delta)
-        if dform.rank != f0 or any(d != 1 for d in dform.invariant_factors):
-            raise AssertionError("defect sequence: Hom part does not inject with saturated image")
+    if any(any(row) for row in (eps * delta).entries):
+        raise AssertionError("defect sequence: composite at the pair lattice nonzero")
+    dform = smith_normal_form(delta)
+    if dform.rank != f0 or any(d != 1 for d in dform.invariant_factors):
+        raise AssertionError("defect sequence: Hom part does not inject with saturated image")
     erank = smith_normal_form(eps).rank
     if erank != n + m - f0:
         raise AssertionError("defect sequence: middle map has wrong rank")
@@ -605,8 +582,7 @@ def _verify_defect_sequence(cqd: CentralQuotientData):
 
 def minimal_torus_embed(rd: BasedRootDatum) -> IntMatrix:
     """The smallest split torus receiving Z_G: one G_m per canonical generator."""
-    center = center_characters(rd)
-    size = len(center.moduli) + center.group.free_rank
+    size = len(center_characters(rd).group.moduli)
     if size == 0:
         return IntMatrix.zero(0, 1)
     return IntMatrix.identity(size)
@@ -614,8 +590,6 @@ def minimal_torus_embed(rd: BasedRootDatum) -> IntMatrix:
 
 def gm_embed(rd: BasedRootDatum) -> IntMatrix:
     """Embed Z_G into a single G_m; only valid when the center is cyclic."""
-    center = center_characters(rd)
-    size = len(center.moduli) + center.group.free_rank
-    if size != 1:
+    if len(center_characters(rd).group.moduli) != 1:
         raise InputError("center characters are not cyclic; a single G_m cannot receive Z_G")
     return IntMatrix.from_rows([[1]])

@@ -173,6 +173,12 @@ def test_finabgroup_canonicalization():
     assert FinAbGroup((3,), 0).two_torsion().is_trivial
 
 
+def test_finabgroup_moduli():
+    # invariant factors, then one 0 (exact) per Z summand: congruence_system's convention
+    assert FinAbGroup((2, 4), 1).moduli == (2, 4, 0)
+    assert FinAbGroup((), 0).moduli == ()
+
+
 def test_torus_lift_gcd_criterion_exhaustive():
     # z -> z^n lifts through (w, z) -> w^r z^s exactly when gcd(r, s) | n
     for r in range(-10, 11):

@@ -649,6 +649,14 @@ def test_quaternion_search_agrees_with_symbols():
         assert quaternion_splits_by_search(xs, ys) == (not quaternion_places(xs, ys))
 
 
+@pytest.mark.parametrize("x, y", [(0, 3), (3, 0), (0, 0), (1.5, 3), (3, Fraction(1, 2)),
+                                  (True, 3), ("3", 5)])
+def test_quaternion_places_refuses_zero_and_non_int_entries(x, y):
+    # a zero entry once left the 2-adic valuation loop running forever
+    with pytest.raises(InputError, match="nonzero int entries"):
+        quaternion_places(x, y)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_oracle_agreement_random_odd_ranks(seed):
     rng = random.Random(seed)
