@@ -16,6 +16,7 @@ from liftcalc.intmat import (
     IntMatrix,
     congruence_kernel_basis,
     kernel_basis,
+    smith_normal_form,
     solve_congruence,
     solve_linear,
 )
@@ -28,6 +29,7 @@ from liftcalc.rootdata import (
     minimal_torus_embed,
 )
 
+SMITH_DIGEST = "c8e3c7321483649926dd6f034bc00ff35c179e4e7658a0d8057298cd37eb4f1b"
 SOLVER_DIGEST = "2305b3e9d2c14d7c9be769d7e1051d400616ff8c7a77ded30dd3a20be876ae07"
 QUOTIENT_DIGEST = "4675950f5dfb9554ee2d0f5cf1a212ab7c5d1e92864d1aa9f56266a399571a0b"
 CLASSIFY_DIGEST = "e3c66022eaa25e5d7b1a50074132879dbca9fc0d30855ca50bdac2e6aad0dea0"
@@ -86,6 +88,28 @@ def _digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def smith_lines():
+    # U, D and V themselves, not only what the solvers read off them: every
+    # zero matrix up to 7x7, empty shapes included, then seeded matrices with
+    # entries of up to 3, 5 and 16 bits
+    shapes = [(r, c) for r in range(8) for c in range(8)]
+    mats = [IntMatrix.zero(r, c) for r, c in shapes]
+    rng = random.Random(199807)
+    for bits in (3, 5, 16):
+        hi = (1 << bits) - 1
+        for _ in range(600):
+            rows, cols = rng.choice(shapes)
+            mats.append(IntMatrix(rows, cols, tuple(
+                tuple(rng.randint(-hi, hi) if rng.random() < 0.7 else 0 for _ in range(cols))
+                for _ in range(rows))))
+    lines = []
+    for A in mats:
+        form = smith_normal_form(A)
+        lines.append(repr((A.entries, form.U.entries, form.D.entries, form.V.entries,
+                           form.invariant_factors)))
+    return lines
+
+
 def solver_lines():
     rng = random.Random(20120729)
     lines = []
@@ -137,6 +161,10 @@ def quotient_lines():
             chi = tuple(rng.randint(-6, 6) for _ in range(rd.rank))
             lines.append(repr((chi, cqd.normalized_class(chi))))
     return lines
+
+
+def test_smith_digest():
+    assert _digest(smith_lines()) == SMITH_DIGEST
 
 
 def test_solver_digest():

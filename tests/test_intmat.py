@@ -347,9 +347,20 @@ def test_smith_factors_have_true_shapes(rows, cols):
     assert (form.V.rows, form.V.cols) == (cols, cols)
 
 
-def test_check_smith_rejects_wrong_shapes():
-    A = IntMatrix(0, 3, ())
-    good = smith_normal_form(A)
-    flat = SmithForm(good.U, IntMatrix.from_rows([]), good.V, ())
-    with pytest.raises(AssertionError, match="shapes"):
-        intmat._check_smith(A, flat)
+_ONE, _I2 = IntMatrix.identity(1), IntMatrix.identity(2)
+_DIAG32 = IntMatrix.from_rows([[3, 0], [0, 2]])
+
+
+# (A, U, D, V, invariant factors, message): each form breaks one condition
+@pytest.mark.parametrize("A,U,D,V,factors,message", [
+    (IntMatrix(0, 3, ()), IntMatrix.identity(0), IntMatrix.from_rows([]), IntMatrix.identity(3),
+     (), "wrong shapes"),
+    (IntMatrix.from_rows([[2]]), _ONE, IntMatrix.from_rows([[3]]), _ONE, (3,),
+     r"U\*A\*V = D violated"),
+    (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]]), _ONE,
+     (4,), "not unimodular"),
+    (_DIAG32, _I2, _DIAG32, _I2, (3, 2), "divisibility chain violated"),
+], ids=["shapes", "identity", "unimodular", "chain"])
+def test_check_smith_refuses(A, U, D, V, factors, message):
+    with pytest.raises(AssertionError, match=message):
+        intmat._check_smith(A, SmithForm(U, D, V, factors))
