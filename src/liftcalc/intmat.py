@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from numbers import Rational
 
 
 class InputError(ValueError):
@@ -19,6 +20,19 @@ class InputError(ValueError):
 
 class BoundError(ValueError):
     """A requested computation exceeds its configured feasibility bound."""
+
+
+def int_tuple(values) -> tuple:
+    """The entries of values as ints: each must be an int or a rational of
+    denominator 1, such as Fraction(4, 2); anything else, 1.5, 1.0 and "7"
+    among them, raises InputError rather than being truncated."""
+    out = tuple(values)
+    if all(type(x) is int for x in out):
+        return out
+    for x in out:
+        if not (isinstance(x, Rational) and x.denominator == 1):
+            raise InputError(f"expected an integer, not {x!r}")
+    return tuple(int(x) for x in out)
 
 
 @dataclass(frozen=True)
@@ -31,7 +45,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [int_tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged matrix")
@@ -158,57 +172,39 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
 @lru_cache(maxsize=32)
 def _smith_form(A: IntMatrix) -> SmithForm:
-    """Factor A once and check the form; a cache hit skips both."""
+    """Factor A once and check the form; a cache hit skips both.
+
+    The elimination runs on one list of rows m: the first A.rows rows are
+    [A | I_rows] and the last A.cols rows are I_cols.  A row operation on
+    the top rows acts on A and U together; a column operation on one of
+    the first A.cols columns, applied to every row, acts on A and V
+    together.  At the end the top rows are [D | U] and the bottom rows V.
+    """
     rows, cols = A.rows, A.cols
-    m = [list(r) for r in A.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_swap(i, k):
-        m[i], m[k] = m[k], m[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_swap(j, k):
-        for r in m:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    def row_add(i, k, c):
-        # row i += c * row k
-        m[i] = [a + c * b for a, b in zip(m[i], m[k])]
-        u[i] = [a + c * b for a, b in zip(u[i], u[k])]
-
-    def col_add(j, k, c):
-        # col j += c * col k
-        for r in m:
-            r[j] += c * r[k]
-        for r in v:
-            r[j] += c * r[k]
-
-    def row_negate(i):
-        m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-
+    m = [list(r) + [1 if i == k else 0 for k in range(rows)] for i, r in enumerate(A.entries)]
+    m += [[1 if i == k else 0 for k in range(cols)] for i in range(cols)]
     s = 0
     n = min(rows, cols)
     while s < n:
         piv = _pivot(m, s, rows, cols)
         if piv is None:
             break
-        row_swap(s, piv[0])
-        col_swap(s, piv[1])
+        p, c = piv
+        m[s], m[p] = m[p], m[s]
+        for r in m:
+            r[s], r[c] = r[c], r[s]
         dirty = False
         for i in range(s + 1, rows):
             if m[i][s] != 0:
                 q = m[i][s] // m[s][s]
-                row_add(i, s, -q)
+                m[i] = [a - q * b for a, b in zip(m[i], m[s])]
                 if m[i][s] != 0:
                     dirty = True
         for j in range(s + 1, cols):
             if m[s][j] != 0:
                 q = m[s][j] // m[s][s]
-                col_add(j, s, -q)
+                for r in m:
+                    r[j] -= q * r[s]
                 if m[s][j] != 0:
                     dirty = True
         if dirty:
@@ -223,16 +219,16 @@ def _smith_form(A: IntMatrix) -> SmithForm:
             if nondiv is not None:
                 break
         if nondiv is not None:
-            row_add(s, nondiv, 1)
+            m[s] = [a + b for a, b in zip(m[s], m[nondiv])]
             continue
         if m[s][s] < 0:
-            row_negate(s)
+            m[s] = [-a for a in m[s]]
         s += 1
 
     diag = [m[i][i] for i in range(n) if m[i][i] != 0]
-    U = IntMatrix.from_rows(u)
-    V = IntMatrix.from_rows(v)
-    D = IntMatrix(rows, cols, tuple(map(tuple, m)))
+    U = IntMatrix(rows, rows, tuple(tuple(r[cols:]) for r in m[:rows]))
+    D = IntMatrix(rows, cols, tuple(tuple(r[:cols]) for r in m[:rows]))
+    V = IntMatrix(cols, cols, tuple(map(tuple, m[rows:])))
     form = SmithForm(U, D, V, tuple(diag))
     _check_smith(A, form)
     return form
@@ -416,7 +412,7 @@ def torus_lift(quotient: IntMatrix, lam) -> tuple | None:
     factored.
     """
     require_lift_size(quotient, "quotient")
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam)
     if len(lam) != quotient.rows:
         raise InputError("cocharacter length does not match quotient target rank")
     if smith_normal_form(quotient).rank < quotient.rows:

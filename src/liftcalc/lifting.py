@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmdata import CMEmbeddingData, galois_char_feasible
-from .intmat import BoundError, InputError
+from .intmat import BoundError, InputError, int_tuple
 from .rootdata import (
     BasedRootDatum,
     CentralQuotientData,
@@ -43,7 +43,7 @@ class HodgeFamily:
     def make(data: CMEmbeddingData, mu) -> "HodgeFamily":
         if set(mu) != set(data.labels):
             raise InputError("weight family must cover exactly the labels")
-        return HodgeFamily(data, {l: tuple(int(x) for x in mu[l]) for l in data.labels})
+        return HodgeFamily(data, {l: int_tuple(mu[l]) for l in data.labels})
 
 
 def obstruction_classes(cqd: CentralQuotientData, h: HodgeFamily) -> dict:

@@ -23,6 +23,7 @@ from .intmat import (
     congruence_kernel_basis,
     congruence_system,
     ext1_to_Z,
+    int_tuple,
     invert_unimodular,
     require_lift_size,
     smith_normal_form,
@@ -46,8 +47,8 @@ class BasedRootDatum:
 
     @staticmethod
     def make(simple_roots, simple_coroots, rank=None) -> "BasedRootDatum":
-        roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
-        coroots = tuple(tuple(int(x) for x in r) for r in simple_coroots)
+        roots = tuple(int_tuple(r) for r in simple_roots)
+        coroots = tuple(int_tuple(r) for r in simple_coroots)
         if rank is None:
             rank = len(roots[0]) if roots else 0
         return BasedRootDatum(rank, roots, coroots)
@@ -211,7 +212,7 @@ class CenterMap:
         return tuple(v % d if d else v for v, d in zip(coords, self.group.moduli))
 
     def class_of(self, chi):
-        return self.reduce(self.rows.apply(int(x) for x in chi))
+        return self.reduce(self.rows.apply(int_tuple(chi)))
 
 
 def center_characters(rd: BasedRootDatum) -> CenterMap:
@@ -479,10 +480,9 @@ class CentralQuotientData:
         original basis); membership means both are integral and their
         restrictions to Z_G agree.
         """
-        if any(Fraction(x).denominator != 1 for x in (*chi, *psi)):
+        if any(isinstance(x, Fraction) and x.denominator != 1 for x in (*chi, *psi)):
             return False
-        return self.center.class_of(chi) == self.center.reduce(
-            self.embed.apply(int(x) for x in psi))
+        return self.center.class_of(chi) == self.center.reduce(self.embed.apply(int_tuple(psi)))
 
 
 def central_quotient_data(rd: BasedRootDatum, embed: IntMatrix) -> CentralQuotientData:

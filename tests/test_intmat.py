@@ -16,6 +16,7 @@ from liftcalc.intmat import (
     SmithForm,
     cokernel_invariants,
     ext1_to_Z,
+    int_tuple,
     invert_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -364,3 +365,29 @@ _DIAG32 = IntMatrix.from_rows([[3, 0], [0, 2]])
 def test_check_smith_refuses(A, U, D, V, factors, message):
     with pytest.raises(AssertionError, match=message):
         intmat._check_smith(A, SmithForm(U, D, V, factors))
+
+
+# entries that are not integers, and two ways to write the integer 2
+NOT_INTEGERS = [1.5, 1.0, "7", Fraction(3, 2)]
+TWOS = [2, Fraction(4, 2)]
+
+# each integer reader of intmat, given the entry x, and its answer at x = 2
+_INT_READERS = {
+    "int_tuple": (lambda x: int_tuple([x, 3]), (2, 3)),
+    "from_rows": (lambda x: IntMatrix.from_rows([[x, 3]]), IntMatrix(1, 2, ((2, 3),))),
+    "torus_lift": (lambda x: torus_lift(IntMatrix.from_rows([[2, 3]]), (x,)), (-2, 2)),
+}
+
+
+@pytest.mark.parametrize("x", NOT_INTEGERS)
+@pytest.mark.parametrize("reader", _INT_READERS)
+def test_int_readers_refuse_non_integers(reader, x):
+    with pytest.raises(InputError, match="expected an integer"):
+        _INT_READERS[reader][0](x)
+
+
+@pytest.mark.parametrize("x", TWOS)
+@pytest.mark.parametrize("reader", _INT_READERS)
+def test_int_readers_read_integers_exactly(reader, x):
+    read, expected = _INT_READERS[reader]
+    assert repr(read(x)) == repr(expected)

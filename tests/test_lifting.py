@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_intmat import NOT_INTEGERS, TWOS
 
 from liftcalc.cmdata import CMEmbeddingData
 from liftcalc.intmat import InputError
@@ -293,3 +294,16 @@ def test_param_lift_cm_random_L_inputs(name):
         p = ParameterPair.make(mu, tuple(-x for x in mu))
         rep = lift_archimedean_parameter(cqd, {"v": p}, "cm_typeA")
         assert "L" in rep.lifted[0].classes
+
+
+@pytest.mark.parametrize("x", NOT_INTEGERS)
+def test_hodge_family_refuses_non_integers(x):
+    data = CMEmbeddingData.totally_real(1)
+    with pytest.raises(InputError, match="expected an integer"):
+        HodgeFamily.make(data, {"v0": (x, 0)})
+
+
+@pytest.mark.parametrize("x", TWOS)
+def test_hodge_family_reads_integers_exactly(x):
+    data = CMEmbeddingData.totally_real(1)
+    assert repr(HodgeFamily.make(data, {"v0": (x, 0)}).mu) == repr({"v0": (2, 0)})

@@ -198,3 +198,15 @@ def test_intmat_imports_nothing_from_fractions():
                  or (isinstance(node, ast.ImportFrom)
                      and (node.module or "").split(".")[0] == "fractions")]
     assert offenders == []
+
+
+def test_intmat_defines_no_nested_function():
+    # the Smith form eliminates one matrix whose rows and columns carry U and
+    # V, so each row and column operation is written once, inline; a helper
+    # defined inside a function would let the transforms grow their own again
+    tree = ast.parse((Path(liftcalc.__file__).parent / "intmat.py").read_text())
+    offenders = [f"{outer.name}:{getattr(inner, 'name', '<lambda>')}"
+                 for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+                 for inner in ast.walk(outer)
+                 if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda))]
+    assert offenders == []

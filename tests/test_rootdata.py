@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from test_intmat import random_unimodular
+from test_intmat import NOT_INTEGERS, TWOS, random_unimodular
 
 from liftcalc import intmat, rootdata
 from liftcalc.intmat import (
@@ -595,3 +595,33 @@ def test_so_odd_datum_in_e_coordinates():
             assert validate(want) == "ok"
     with pytest.raises(InputError, match="rank must be >= 1"):
         rootdata.so_odd_datum(0)
+
+
+_C2 = datum_by_name("C2.sc")
+_C2_CQD = central_quotient_data(_C2, minimal_torus_embed(_C2))
+
+# each integer reader of rootdata, given the entry x, and its answer at x = 2
+_INT_READERS = {
+    "make": (lambda x: BasedRootDatum.make([[x]], [[1]]), BasedRootDatum(1, ((2,),), ((1,),))),
+    "class_of": (lambda x: center_characters(_C2).class_of((x, 0)), (0,)),
+    "theta": (lambda x: _C2_CQD.theta((x, 0)), (0,)),
+    "pair_psi": (lambda x: _C2_CQD.pair_in_extended_lattice((2, 0), (x,)), True),
+}
+
+
+@pytest.mark.parametrize("x", NOT_INTEGERS)
+@pytest.mark.parametrize("reader", _INT_READERS)
+def test_int_readers_refuse_non_integers(reader, x):
+    if reader == "pair_psi" and isinstance(x, Fraction):
+        # a rational psi is a point of the rational lattice, just not of the integral one
+        assert _INT_READERS[reader][0](x) is False
+        return
+    with pytest.raises(InputError, match="expected an integer"):
+        _INT_READERS[reader][0](x)
+
+
+@pytest.mark.parametrize("x", TWOS)
+@pytest.mark.parametrize("reader", _INT_READERS)
+def test_int_readers_read_integers_exactly(reader, x):
+    read, expected = _INT_READERS[reader]
+    assert repr(read(x)) == repr(expected)
