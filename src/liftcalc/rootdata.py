@@ -477,8 +477,8 @@ class CentralQuotientData:
         """Is the pair (chi, psi) a character of Ttilde = (T x Ztilde)/Z_G?
 
         chi has X(T)+Q coordinates, psi has X(Ztilde)+Q coordinates (in the
-        original basis); membership means both are integral and their
-        restrictions to Z_G agree.
+        original basis), each an int or a Fraction; membership means both
+        are integral and their restrictions to Z_G agree.
         """
         if any(isinstance(x, Fraction) and x.denominator != 1 for x in (*chi, *psi)):
             return False
