@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import InputError
+from .intmat import InputError, int_tuple
 
 MODES = ("totally_real", "cm", "general_imaginary")
 
@@ -110,8 +110,9 @@ def _diagnostic(data: CMEmbeddingData) -> str:
     return "ok"
 
 
-def _classes_mod(data, n: int, classes: dict) -> dict:
-    """The classes mod n at the labels, given at each label and nowhere else."""
+def _classes_mod(data, n: int, classes: dict) -> tuple:
+    """n and the classes mod n at the labels, integers given at each label and nowhere else."""
+    (n,) = int_tuple((n,))
     if n <= 0:
         raise InputError("modulus must be positive")
     if any(l not in classes for l in data.labels):
@@ -119,7 +120,7 @@ def _classes_mod(data, n: int, classes: dict) -> dict:
     stray = set(classes) - set(data.labels)
     if stray:
         raise InputError(f"classes given at unknown labels {sorted(map(str, stray))}")
-    return {l: int(classes[l]) % n for l in data.labels}
+    return n, {l: k % n for l, k in zip(data.labels, int_tuple(classes[l] for l in data.labels))}
 
 
 def _through_restrict(data, labels, classes: dict) -> dict | None:
@@ -146,7 +147,7 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict) -> HeckeFea
     finite-order extensions additionally need those classes to vanish.
     Classes at conjugation-fixed labels are 2-torsion and unconstrained.
     """
-    m = _classes_mod(data, n, m)
+    n, m = _classes_mod(data, n, m)
     for l in data.labels:
         if (m[l] + m[data.conj[l]]) % n != 0:
             raise InputError(f"classes at {l!r} and its conjugate are not opposite")
@@ -173,7 +174,7 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     equal".  On success the returned witness family satisfies both
     criteria exactly and reduces to the input classes mod n.
     """
-    k = _classes_mod(data, n, k)
+    n, k = _classes_mod(data, n, k)
 
     # (a) factor through the restriction
     by_cm = _through_restrict(data, data.labels, k)
@@ -220,5 +221,5 @@ def _verify_witness(data, n, k, witness):
     if len(sums) != 1:
         raise AssertionError("witness violates purity")
     scaled = next(iter(sums)) * n
-    if scaled.denominator != 1 or (int(scaled) - witness.purity_weight) % n != 0:
+    if scaled.denominator != 1 or (scaled.numerator - witness.purity_weight) % n != 0:
         raise AssertionError("witness purity weight mismatch")

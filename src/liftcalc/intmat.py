@@ -24,15 +24,26 @@ class BoundError(ValueError):
 
 def int_tuple(values) -> tuple:
     """The entries of values as ints: each must be an int or a rational of
-    denominator 1, such as Fraction(4, 2); anything else, 1.5, 1.0 and "7"
-    among them, raises InputError rather than being truncated."""
+    denominator 1, such as Fraction(4, 2); anything else, 1.5, 1.0, "7" and
+    True among them, raises InputError rather than being truncated."""
     out = tuple(values)
     if all(type(x) is int for x in out):
         return out
     for x in out:
-        if not (isinstance(x, Rational) and x.denominator == 1):
+        if type(x) is bool or not (isinstance(x, Rational) and x.denominator == 1):
             raise InputError(f"expected an integer, not {x!r}")
     return tuple(int(x) for x in out)
+
+
+def rational_tuple(values) -> tuple:
+    """The entries of values as they are: each must be an int or a rational
+    such as a Fraction; anything else, 1.5, 1.0, "7" and True among them,
+    raises InputError rather than being read at its binary value or parsed."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int and (type(x) is bool or not isinstance(x, Rational)):
+            raise InputError(f"expected an int or a Fraction, not {x!r}")
+    return out
 
 
 @dataclass(frozen=True)

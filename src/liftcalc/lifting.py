@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmdata import CMEmbeddingData, galois_char_feasible
-from .intmat import BoundError, InputError, int_tuple
+from .intmat import BoundError, InputError, int_tuple, rational_tuple
 from .rootdata import (
     BasedRootDatum,
     CentralQuotientData,
@@ -174,18 +174,21 @@ def twist_by_witness(cqd: CentralQuotientData, h: HodgeFamily, witness: dict) ->
     """Apply a central twist family: mu' = mu - sum_i (d_i t_i) u_i.
 
     u_i is the stored lift to X(T) of the i-th torsion basis class, so
-    the twisted family has torsion classes k_i - d_i t_i mod d_i.
+    the twisted family has torsion classes k_i - d_i t_i mod d_i.  The
+    witness gives r ints or Fractions t at exactly the family's labels.
     """
+    if set(witness) != set(h.mu):
+        raise InputError("twist witness must cover exactly the labels")
     new_mu = {}
     for l, mu in h.mu.items():
-        t = witness[l]
-        shift = [0] * cqd.G.rank
-        for i in range(cqd.r):
-            c = t[i] * cqd.d[i]
-            if c.denominator != 1:
-                raise InputError("twist weights must clear the moduli denominators")
-            for j in range(cqd.G.rank):
-                shift[j] += int(c) * cqd.torsion_lifts[i][j]
+        t = rational_tuple(witness[l])
+        if len(t) != cqd.r:
+            raise InputError(f"twist witness at {l!r} must have {cqd.r} entries")
+        c = tuple(x * di for x, di in zip(t, cqd.d))
+        if any(x.denominator != 1 for x in c):
+            raise InputError("twist weights must clear the moduli denominators")
+        c = int_tuple(c)
+        shift = [sum(ci * u[j] for ci, u in zip(c, cqd.torsion_lifts)) for j in range(cqd.G.rank)]
         new_mu[l] = tuple(m - s for m, s in zip(mu, shift))
     return HodgeFamily(h.data, new_mu)
 
@@ -272,17 +275,12 @@ class ParameterPair:
 
     @staticmethod
     def make(mu, nu) -> "ParameterPair":
-        mu = tuple(Fraction(x) for x in mu)
-        nu = tuple(Fraction(x) for x in nu)
+        mu, nu = rational_tuple(mu), rational_tuple(nu)
         if len(mu) != len(nu):
             raise InputError("parameter components differ in length")
         if any((a - b).denominator != 1 for a, b in zip(mu, nu)):
             raise InputError("mu - nu must be an integral weight")
         return ParameterPair(mu, nu)
-
-
-def _integral(vec) -> bool:
-    return all(Fraction(x).denominator == 1 for x in vec)
 
 
 def _lcw_classes(inside, rho, parts) -> frozenset:
@@ -306,14 +304,15 @@ def algebraicity_class(rd: BasedRootDatum, p: ParameterPair) -> frozenset:
     """Which of the L / C / W integrality classes the pair satisfies."""
     if len(p.mu) != rd.rank:
         raise InputError("parameter length does not match the rank")
-    return _lcw_classes(lambda w, c: _integral(w), half_sum_positive_roots(rd),
+    return _lcw_classes(lambda w, c: all(x.denominator == 1 for x in w),
+                        half_sum_positive_roots(rd),
                         [(p.mu, ()), (p.nu, ())])
 
 
 @dataclass(frozen=True)
 class LiftedParameter:
     label: str
-    mu: tuple                 # X(T) part, Fractions
+    mu: tuple                 # X(T) part, ints and Fractions
     nu: tuple
     mu_central: tuple         # X(Ztilde) part in the original basis, Fractions
     nu_central: tuple
@@ -347,12 +346,6 @@ class ParameterLiftReport:
         }
 
 
-def _extended_classes(cqd: CentralQuotientData, mu, nu, mu_c, nu_c) -> frozenset:
-    """L/C/W classes of a lifted pair against the extended character lattice."""
-    return _lcw_classes(cqd.pair_in_extended_lattice, half_sum_positive_roots(cqd.G),
-                        [(mu, mu_c), (nu, nu_c)])
-
-
 def lift_archimedean_parameter(cqd: CentralQuotientData, params: dict, recipe: str,
                                tempered: bool = True) -> ParameterLiftReport:
     """Lift archimedean parameters to the extended group.
@@ -381,14 +374,14 @@ def lift_archimedean_parameter(cqd: CentralQuotientData, params: dict, recipe: s
     for l in labels:
         p = pairs[l]
         diff = tuple(a - b for a, b in zip(p.mu, p.nu))
-        diff_int = tuple(int(x) for x in diff)
-        images[l] = cqd.theta(diff_int)
+        images[l] = cqd.theta(int_tuple(diff))
         if recipe == "finite_order":
             mu_c = (Fraction(0),) * m
             nu_c = (Fraction(0),) * m
         else:
-            if _integral(p.mu):
-                ks = [Fraction(k) for k in cqd.theta(tuple(int(x) for x in p.mu))]
+            if "L" in input_classes[l]:
+                # mu - nu is integral, so mu is integral exactly when the pair is
+                ks = cqd.theta(int_tuple(p.mu))
             else:
                 ks = [Fraction(k, 2) for k in images[l]]
             coeffs = [Fraction(0)] * m
@@ -398,7 +391,9 @@ def lift_archimedean_parameter(cqd: CentralQuotientData, params: dict, recipe: s
                     coeffs[j] += ks[i] * w[j]
             mu_c = tuple(coeffs)
             nu_c = tuple(-c for c in coeffs)
-        classes = _extended_classes(cqd, p.mu, p.nu, mu_c, nu_c)
+        # the L/C/W classes of the lifted pair in the extended character lattice
+        classes = _lcw_classes(cqd.pair_in_extended_lattice, half_sum_positive_roots(rd),
+                               [(p.mu, mu_c), (p.nu, nu_c)])
         lifted.append(LiftedParameter(l, p.mu, p.nu, mu_c, nu_c, classes))
 
     if recipe == "cm_typeA":

@@ -25,7 +25,7 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .intmat import BoundError, InputError
+from .intmat import BoundError, InputError, int_tuple, rational_tuple
 
 # Trial division gives up with BoundError once the divisor passes this
 # cap, so every integer below TRIAL_DIVISION_CAP**2 still factors.
@@ -37,13 +37,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-def _require_rational(values):
-    """Refuse any value that is not an int or a Fraction, such as a float or a string."""
-    for x in values:
-        if type(x) not in (int, Fraction):
-            raise InputError(f"expected an int or a Fraction, not {x!r}")
-
-
 @dataclass(frozen=True)
 class QForm:
     gram: tuple
@@ -52,8 +45,7 @@ class QForm:
     @staticmethod
     def from_gram(rows) -> "QForm":
         """The form of a square symmetric Gram matrix of int or Fraction entries."""
-        g = tuple(map(tuple, rows))
-        _require_rational(x for r in g for x in r)
+        g = tuple(map(rational_tuple, rows))
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
@@ -65,8 +57,7 @@ class QForm:
 
     @staticmethod
     def diagonal_form(entries) -> "QForm":
-        entries = list(entries)
-        _require_rational(entries)
+        entries = rational_tuple(entries)
         n = len(entries)
         return QForm(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
                            for i in range(n)), n)
@@ -172,7 +163,7 @@ def squarefree_class(x) -> int:
     Numerator and denominator are coprime, so the class is the product of
     their squarefree parts, and each is factored on its own.
     """
-    _require_rational([x])
+    (x,) = rational_tuple((x,))
     if x == 0:
         raise InputError("square class of zero")
     return (-1 if x < 0 else 1) * prod(p for part in (abs(x.numerator), x.denominator)
@@ -226,7 +217,7 @@ def hilbert_symbol(a, b, place) -> int:
     Any other entry or place raises InputError, and a place whose primality
     is not decided exactly raises BoundError.
     """
-    _require_rational((a, b))
+    a, b = rational_tuple((a, b))
     if a == 0 or b == 0:
         raise InputError("Hilbert symbol needs nonzero entries")
     if place != "inf" and (type(place) is not int or place < 2 or not _is_prime(place)):
@@ -515,9 +506,10 @@ def even_clifford_split_oracle(q: QForm) -> CliffordSplitness:
 def quaternion_places(x: int, y: int) -> tuple:
     """Places where the quaternion algebra (x, y) ramifies, among inf, 2 and the primes of x y.
 
-    x and y are nonzero ints; any other entry raises InputError.
+    x and y are nonzero integers; any other entry raises InputError.
     """
-    if any(type(v) is not int or v == 0 for v in (x, y)):
+    x, y = int_tuple((x, y))
+    if x == 0 or y == 0:
         raise InputError(f"quaternion algebra needs nonzero int entries, not ({x!r}, {y!r})")
     places = ["inf", *sorted({2, *_factor(abs(x)), *_factor(abs(y))})]
     return tuple(v for v in places if _hilbert_symbol(x, y, v) == -1)

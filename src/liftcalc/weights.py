@@ -9,13 +9,12 @@ multiplicity m contributes m independent slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb
 from operator import add, mul, sub
 
-from .intmat import BoundError, InputError, IntMatrix
+from .intmat import BoundError, InputError, IntMatrix, int_tuple, rational_tuple
 from .rootdata import BasedRootDatum, positive_coroots, positive_roots, sp_datum
 
 # Largest rank spin_weight_multiset accepts: it enumerates 2^rank sign
@@ -42,11 +41,14 @@ class WeightMultiset:
 
     @staticmethod
     def from_doubled(rank: int, items) -> "WeightMultiset":
+        """Items (doubled weight of rank ints, positive int multiplicity), merged."""
         acc = {}
         for w, m in items:
+            w, (m,) = int_tuple(w), int_tuple((m,))
+            if len(w) != rank:
+                raise InputError(f"weight {w} has length {len(w)}, expected {rank}")
             if m <= 0:
                 raise InputError("multiplicities must be positive")
-            w = tuple(int(x) for x in w)
             acc[w] = acc.get(w, 0) + m
         return WeightMultiset(rank, tuple(sorted(acc.items())))
 
@@ -135,12 +137,12 @@ def _dominant_doubled(simple_coroots, lam2) -> bool:
 def _doubled_highest_weight(rd: BasedRootDatum, lam) -> tuple:
     """2 lam as integers, once lam has the datum's rank, is half-integral and
     dominant, and pairs to an integer with every simple coroot."""
-    lam2 = tuple(2 * Fraction(x) for x in lam)
+    lam2 = tuple(2 * x for x in rational_tuple(lam))
     if len(lam2) != rd.rank:
         raise InputError(f"highest weight has length {len(lam2)} but the datum has rank {rd.rank}")
     if any(d.denominator != 1 for d in lam2):
         raise InputError("highest weight must be at most half-integral")
-    lam2 = tuple(int(d) for d in lam2)
+    lam2 = int_tuple(lam2)
     pairings = [_dot(lam2, av) for av in rd.simple_coroots]
     if any(p < 0 for p in pairings):
         raise InputError("highest weight must be dominant")
@@ -319,16 +321,14 @@ class LatticeMap:
 
     @staticmethod
     def from_rows(rows, source_rank=None) -> "LatticeMap":
-        fr = [[Fraction(x) for x in r] for r in rows]
-        target = len(fr)
-        source = len(fr[0]) if fr and fr[0] else (source_rank or 0)
-        if any((2 * x).denominator != 1 for r in fr for x in r):
+        """The map of rows of half-integers, each of length source_rank if given."""
+        numer = [tuple(2 * x for x in rational_tuple(r)) for r in rows]
+        if any(x.denominator != 1 for r in numer for x in r):
             raise InputError("lattice map entries must be at most half-integral")
-        if fr:
-            numer = IntMatrix.from_rows([[int(2 * x) for x in r] for r in fr])
-        else:
-            numer = IntMatrix.zero(0, source)
-        return LatticeMap(source, target, numer)
+        numer = IntMatrix.from_rows(numer) if numer else IntMatrix.zero(0, source_rank or 0)
+        if source_rank is not None and numer.cols != source_rank:
+            raise InputError(f"rows have length {numer.cols} but source_rank is {source_rank}")
+        return LatticeMap(numer.cols, numer.rows, numer)
 
     def apply_doubled(self, w2):
         out = self.numer.apply(w2)

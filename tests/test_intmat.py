@@ -6,6 +6,13 @@ import pytest
 from test_golden_lattice import SOLVER_DIGEST, _digest, solver_lines
 
 from liftcalc import intmat
+from liftcalc.cmdata import (
+    CharWitness,
+    CMEmbeddingData,
+    HeckeFeasibility,
+    galois_char_feasible,
+    hecke_extension_feasible,
+)
 from liftcalc.intmat import (
     MAX_LIFT_BITS,
     MAX_LIFT_DIM,
@@ -19,11 +26,23 @@ from liftcalc.intmat import (
     int_tuple,
     invert_unimodular,
     kernel_basis,
+    rational_tuple,
     smith_normal_form,
     solve_congruence,
     solve_linear,
     torus_lift,
 )
+from liftcalc.lifting import HodgeFamily, ParameterPair, lift_archimedean_parameter, twist_by_witness
+from liftcalc.qforms import (
+    QForm,
+    QFormInvariants,
+    hilbert_symbol,
+    invariants,
+    quaternion_places,
+    squarefree_class,
+)
+from liftcalc.rootdata import central_quotient_data, datum_by_name, minimal_torus_embed
+from liftcalc.weights import LatticeMap, WeightMultiset, weyl_dimension
 
 
 def from_orders(orders, free_rank=0):
@@ -367,15 +386,56 @@ def test_check_smith_refuses(A, U, D, V, factors, message):
         intmat._check_smith(A, SmithForm(U, D, V, factors))
 
 
-# entries that are not integers, and two ways to write the integer 2
-NOT_INTEGERS = [1.5, 1.0, "7", Fraction(3, 2)]
+# entries that are not integers, entries that are not exact rationals, and
+# two ways to write the integer 2; True is an int to Python but no number here
+NOT_INTEGERS = [1.5, 1.0, "7", Fraction(3, 2), True]
+NOT_RATIONALS = [1.5, 1.0, "7", True]
 TWOS = [2, Fraction(4, 2)]
 
-# each integer reader of intmat, given the entry x, and its answer at x = 2
+_CM = CMEmbeddingData.cm_pairs(1)
+_C2 = datum_by_name("C2.sc")
+_C2_CQD = central_quotient_data(_C2, minimal_torus_embed(_C2))
+_REAL = HodgeFamily.make(CMEmbeddingData.totally_real(1), {"v0": (1, 0)})
+
+# every library entry point that reads integers through int_tuple, given the
+# entry x, and its answer at x = 2
 _INT_READERS = {
     "int_tuple": (lambda x: int_tuple([x, 3]), (2, 3)),
     "from_rows": (lambda x: IntMatrix.from_rows([[x, 3]]), IntMatrix(1, 2, ((2, 3),))),
     "torus_lift": (lambda x: torus_lift(IntMatrix.from_rows([[2, 3]]), (x,)), (-2, 2)),
+    "from_doubled_weight": (lambda x: WeightMultiset.from_doubled(1, [((x,), 1)]),
+                            WeightMultiset(1, (((2,), 1),))),
+    "from_doubled_multiplicity": (lambda x: WeightMultiset.from_doubled(1, [((0,), x)]),
+                                  WeightMultiset(1, (((0,), 2),))),
+    "galois_class": (lambda x: galois_char_feasible(_CM, 4, {"s0": x, "s0c": 1}),
+                     CharWitness(3, {"s0": Fraction(1, 2), "s0c": Fraction(1, 4)})),
+    "galois_modulus": (lambda x: galois_char_feasible(_CM, x, {"s0": 1, "s0c": 1}),
+                       CharWitness(0, {"s0": Fraction(1, 2), "s0c": Fraction(-1, 2)})),
+    "hecke_class": (lambda x: hecke_extension_feasible(_CM, 4, {"s0": x, "s0c": -2}),
+                    HeckeFeasibility(True, False)),
+    "quaternion_places": (lambda x: quaternion_places(x, 3), (2, 3)),
+}
+
+# every library entry point that reads ints and Fractions through
+# rational_tuple, given the entry x, and its answer at x = 2
+_RATIONAL_READERS = {
+    "from_gram": (lambda x: invariants(QForm.from_gram([[x, 0], [0, 3]])),
+                  QFormInvariants(2, (2, 0), 6, {"inf": 1, 2: -1, 3: -1})),
+    "diagonal_form": (lambda x: invariants(QForm.diagonal_form([x, 3])),
+                      QFormInvariants(2, (2, 0), 6, {"inf": 1, 2: -1, 3: -1})),
+    "squarefree_class": (squarefree_class, 2),
+    "hilbert_symbol": (lambda x: hilbert_symbol(x, 3, 3), -1),
+    "weyl_dimension": (lambda x: weyl_dimension(_C2, (x, 0)), 10),
+    "lattice_map": (lambda x: LatticeMap.from_rows([[x, 0]]),
+                    LatticeMap(2, 1, IntMatrix(1, 2, ((4, 0),)))),
+    "parameter_pair": (
+        lambda x: lift_archimedean_parameter(
+            _C2_CQD, {"v": ParameterPair.make([x, 0], [x, 0])}, "cm_typeA",
+            tempered=False).to_json()["lifted"],
+        [{"label": "v", "mu": ["2", "0"], "nu": ["2", "0"], "mu_central": ["0"],
+          "nu_central": ["0"], "classes": ["L", "W"]}]),
+    "twist_witness": (lambda x: twist_by_witness(_C2_CQD, _REAL, {"v0": (x,)}).mu,
+                      {"v0": (-3, 0)}),
 }
 
 
@@ -391,3 +451,25 @@ def test_int_readers_refuse_non_integers(reader, x):
 def test_int_readers_read_integers_exactly(reader, x):
     read, expected = _INT_READERS[reader]
     assert repr(read(x)) == repr(expected)
+
+
+@pytest.mark.parametrize("x", NOT_RATIONALS)
+@pytest.mark.parametrize("reader", _RATIONAL_READERS)
+def test_rational_readers_refuse_inexact_values(reader, x):
+    with pytest.raises(InputError, match="expected an int or a Fraction"):
+        _RATIONAL_READERS[reader][0](x)
+
+
+@pytest.mark.parametrize("x", TWOS)
+@pytest.mark.parametrize("reader", _RATIONAL_READERS)
+def test_rational_readers_read_values_exactly(reader, x):
+    read, expected = _RATIONAL_READERS[reader]
+    assert repr(read(x)) == repr(expected)
+
+
+def test_rational_tuple_returns_values_as_they_are():
+    half, two = Fraction(1, 2), Fraction(4, 2)
+    assert [type(x) for x in rational_tuple([half, two, 3])] == [Fraction, Fraction, int]
+    assert all(a is b for a, b in zip(rational_tuple([half, two]), (half, two)))
+    ints = (1, -2, 3)
+    assert rational_tuple(ints) is ints and int_tuple(ints) is ints

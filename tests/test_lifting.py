@@ -98,6 +98,23 @@ def test_geometric_lift_totally_real_exists_with_witness():
     assert all(c == (0,) for c in obstruction_classes(cqd, twisted).values())
 
 
+@pytest.mark.parametrize("witness,message", [
+    # a float entry raised a raw AttributeError, a missing label a KeyError
+    ({"v0": (Fraction(1, 2),), "v1": (0.5,)}, "expected an int or a Fraction"),
+    ({"v0": (Fraction(1, 2),), "v1": ("1/2",)}, "expected an int or a Fraction"),
+    ({"v0": (Fraction(1, 2),)}, "must cover exactly the labels"),
+    ({"v0": (0,), "v1": (0,), "v2": (0,)}, "must cover exactly the labels"),
+    ({"v0": (0,), "v1": ()}, "must have 1 entries"),
+    ({"v0": (0,), "v1": (0, 0)}, "must have 1 entries"),
+    ({"v0": (0,), "v1": (Fraction(1, 3),)}, "must clear the moduli denominators"),
+])
+def test_twist_by_witness_refuses_a_malformed_witness(witness, message):
+    cqd = sp_cqd(2)
+    h = tr_family([(1, 0), (2, 1)])
+    with pytest.raises(InputError, match=message):
+        twist_by_witness(cqd, h, witness)
+
+
 def test_geometric_lift_odd_moduli_never_obstruct():
     cqd = sl3_cqd()
     rng = random.Random(11)

@@ -614,6 +614,28 @@ def test_restrict_preserves_dimension():
     assert restrict_multiset(emb, W).dimension == W.dimension
 
 
+@pytest.mark.parametrize("items,message", [
+    # a weight of the wrong length was stored, and tensor then zipped it short
+    ([((1, 2), 1)], "has length 2, expected 1"),
+    ([((), 1)], "has length 0, expected 1"),
+    ([((1,), 1.5)], "expected an integer"),
+    ([((1,), True)], "expected an integer"),
+    ([((1,), 0)], "multiplicities must be positive"),
+    ([((1,), -1)], "multiplicities must be positive"),
+])
+def test_from_doubled_refuses_bad_shapes_and_multiplicities(items, message):
+    with pytest.raises(InputError, match=message):
+        WeightMultiset.from_doubled(1, items)
+
+
+def test_lattice_map_source_rank_must_match_the_rows():
+    with pytest.raises(InputError, match="rows have length 2 but source_rank is 3"):
+        LatticeMap.from_rows([[1, 0]], source_rank=3)
+    assert LatticeMap.from_rows([[1, 0]], source_rank=2) == LatticeMap.from_rows([[1, 0]])
+    empty = LatticeMap.from_rows([], source_rank=3)
+    assert (empty.source_rank, empty.target_rank) == (3, 0)
+
+
 def test_denominator_violation():
     f = LatticeMap.from_rows([[Fraction(1, 2)]])
     with pytest.raises(InputError):
@@ -755,7 +777,7 @@ def test_integer_and_fraction_weights_agree(name, lam):
     ((Fraction(1, 3), 0), "highest weight has length 2 but the datum has rank 3"),
     ((1, 0, 0, Fraction(1, 3)), "highest weight has length 4 but the datum has rank 3"),
     ((1, Fraction(1, 3), 0), "highest weight must be at most half-integral"),
-    ((1, 0.25, 0), "highest weight must be at most half-integral"),
+    ((1, Fraction(1, 4), 0), "highest weight must be at most half-integral"),
     ((1, 2, 0), "highest weight must be dominant"),
     ((Fraction(1, 2), 0, 0), "highest weight must pair to an integer with every simple coroot"),
 ])
