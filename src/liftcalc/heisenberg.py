@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import InputError
+from .intmat import InputError, int_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,7 @@ class HeisenbergGroup:
 
 
 def heisenberg_group(n: int) -> HeisenbergGroup:
+    (n,) = int_tuple((n,))
     return HeisenbergGroup(n)
 
 
@@ -108,6 +109,8 @@ class MonomialRep:
 
 
 def rep_rho(n: int, alpha: int) -> MonomialRep:
+    if type(n) is not int or type(alpha) is not int:   # int_tuple's first test, inline
+        n, alpha = int_tuple((n, alpha))
     if n < 2:
         raise InputError("modulus must be at least 2")
     return MonomialRep(n, alpha % n)

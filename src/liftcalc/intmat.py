@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from numbers import Rational
+from operator import mul
 
 
 class InputError(ValueError):
@@ -89,9 +90,9 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise InputError("dimension mismatch in matrix product")
-            ot = other.transpose().entries
+            cols = tuple(zip(*other.entries)) or ((),) * other.cols
             return IntMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in ot)
+                             tuple(tuple(sum(map(mul, r, c)) for c in cols)
                                    for r in self.entries))
         return NotImplemented
 
@@ -100,33 +101,13 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise InputError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
+        return tuple(sum(map(mul, r, vec)) for r in self.entries)
 
     def det(self) -> int:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise InputError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _det([list(r) for r in self.entries])
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
@@ -134,14 +115,34 @@ class IntMatrix:
     def minor_gcd(self, k: int) -> int:
         """gcd of all k x k minors (0 if there are none or all vanish)."""
         g = 0
-        for rowset in combinations(range(self.rows), k):
+        for rowset in combinations(self.entries, k):
             for colset in combinations(range(self.cols), k):
-                sub = IntMatrix(k, k, tuple(tuple(self.entries[i][j] for j in colset)
-                                            for i in rowset))
-                g = gcd(g, sub.det())
+                g = gcd(g, _det([[r[j] for j in colset] for r in rowset]))
                 if g == 1:
                     return 1
         return g
+
+
+def _det(m) -> int:
+    """Exact determinant of the square matrix whose rows are the lists m,
+    which it overwrites, via fraction-free Bareiss elimination."""
+    n = len(m)
+    sign = prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,9 @@ class SmithForm:
 
 
 def _pivot(m, s, rows, cols):
-    """Smallest-absolute-value nonzero entry in the trailing block, ties by (row, col)."""
-    best = None
-    for i in range(s, rows):
-        for j in range(s, cols):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
+    """(|v|, row, col) of the least nonzero |v| in the trailing block, ties by (row, col)."""
+    return min(((abs(v), i, j) for i in range(s, rows)
+                for j, v in enumerate(m[i][s:cols], s) if v), default=None)
 
 
 def smith_normal_form(A: IntMatrix) -> SmithForm:
@@ -200,7 +196,7 @@ def _smith_form(A: IntMatrix) -> SmithForm:
         piv = _pivot(m, s, rows, cols)
         if piv is None:
             break
-        p, c = piv
+        _, p, c = piv
         m[s], m[p] = m[p], m[s]
         for r in m:
             r[s], r[c] = r[c], r[s]
@@ -249,7 +245,10 @@ def _check_smith(A, form):
     shapes = ((form.U.rows, form.U.cols), (form.D.rows, form.D.cols), (form.V.rows, form.V.cols))
     if shapes != ((A.rows, A.rows), (A.rows, A.cols), (A.cols, A.cols)):
         raise AssertionError("SNF factors have the wrong shapes")
-    if (form.U * A * form.V).entries != form.D.entries:
+    # U A V on plain rows; zip(*X) is short only if X has no rows: U or V is empty
+    UA = [[sum(map(mul, r, c)) for c in zip(*A.entries)] for r in form.U.entries]
+    UAV = tuple(tuple(sum(map(mul, r, c)) for c in zip(*form.V.entries)) for r in UA)
+    if UAV != form.D.entries:
         raise AssertionError("SNF identity U*A*V = D violated")
     if not form.U.is_unimodular() or not form.V.is_unimodular():
         raise AssertionError("SNF transforms not unimodular")

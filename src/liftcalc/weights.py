@@ -322,6 +322,8 @@ class LatticeMap:
     @staticmethod
     def from_rows(rows, source_rank=None) -> "LatticeMap":
         """The map of rows of half-integers, each of length source_rank if given."""
+        if source_rank is not None:
+            (source_rank,) = int_tuple((source_rank,))
         numer = [tuple(2 * x for x in rational_tuple(r)) for r in rows]
         if any(x.denominator != 1 for r in numer for x in r):
             raise InputError("lattice map entries must be at most half-integral")
@@ -597,8 +599,15 @@ def kuga_satake_embedding(g: int) -> LatticeMap:
 
 
 def kuga_satake_spin_pullback(g: int, half: str = "both") -> WeightMultiset:
-    """Pull the spin multiset of SO_N back to the symplectic torus."""
-    return _spin_restriction(kuga_satake_embedding(g), comb(2 * g, 2) - 1, half)
+    """Pull the spin multiset of SO_N back to the symplectic torus.
+
+    The embedding's columns e_1 + e_j, j = 2..g, are the g - 1 independent
+    columns _spin_restriction counts, so the bound is checked on that count
+    before the embedding is built.
+    """
+    N = g * (2 * g - 1) - 1   # comb(2g, 2) - 1, defined for g < 1 as well
+    _require_spin_images(N, g - 1)
+    return _spin_restriction(kuga_satake_embedding(g), N, half)
 
 
 def center_action_parity(g: int) -> str:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, permutations
 from math import gcd, prod
 
 import pytest
@@ -32,6 +34,7 @@ from liftcalc.intmat import (
     solve_linear,
     torus_lift,
 )
+from liftcalc.heisenberg import HeisenbergGroup, MonomialRep, heisenberg_group, rep_rho
 from liftcalc.lifting import HodgeFamily, ParameterPair, lift_archimedean_parameter, twist_by_witness
 from liftcalc.qforms import (
     QForm,
@@ -359,6 +362,55 @@ def test_product_and_apply_match_naive_loops():
             assert A.apply(x) == tuple(sum(A[i, t] * x[t] for t in range(k)) for i in range(n))
 
 
+def leibniz_det(rows):
+    """Oracle: the sum over permutations, each signed by its inversions."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+               * prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def test_det_matches_the_leibniz_sum():
+    # a zero pivot at the start or after a step swaps rows, or ends with 0
+    # when no row below can; singular matrices repeat a row sum
+    mats = [IntMatrix.identity(0), IntMatrix.from_rows([[0, 1], [1, 0]]),
+            IntMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+            IntMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]),
+            IntMatrix.from_rows([[0, 0], [3, 4]]), IntMatrix.zero(3, 3)]
+    rng = random.Random(1968)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        p0 = rng.choice([0.0, 0.5])
+        rows = [[0 if rng.random() < p0 else rng.randint(-9, 9) for _ in range(n)]
+                for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+        mats.append(IntMatrix.from_rows(rows))
+    dets = [M.det() for M in mats]
+    assert dets == [leibniz_det(M.entries) for M in mats]
+    assert dets[:6] == [1, -1, -1, 0, 0, 0] and dets.count(0) > 100
+
+
+def test_minor_gcd_matches_naive_enumeration(monkeypatch):
+    rng = random.Random(1968)
+    for _ in range(120):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.3:   # rank at most 1, so larger minors vanish
+            u, v = rng.choices(range(-4, 5), k=r), rng.choices(range(-4, 5), k=c)
+            A = IntMatrix.from_rows([[a * b for b in v] for a in u])
+        else:   # a common factor d lifts every gcd to a multiple of d^k
+            d = rng.choice([1, 1, 2, 3])
+            A = IntMatrix.from_rows([[d * rng.randint(-5, 5) for _ in range(c)]
+                                     for _ in range(r)])
+        for k in range(min(r, c) + 2):
+            minors = [leibniz_det([[A[i, j] for j in cs] for i in rs])
+                      for rs in combinations(range(r), k) for cs in combinations(range(c), k)]
+            assert A.minor_gcd(k) == reduce(gcd, minors, 0)
+    # a minor of 1 ends the scan: the first 1 x 1 minor of [[1, 2], [3, 4]] is 1
+    real, calls = intmat._det, []
+    monkeypatch.setattr(intmat, "_det", lambda m: calls.append(m) or real(m))
+    assert IntMatrix.from_rows([[1, 2], [3, 4]]).minor_gcd(1) == 1 and len(calls) == 1
+
+
 @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (2, 5), (5, 2)])
 def test_smith_factors_have_true_shapes(rows, cols):
     form = smith_normal_form(IntMatrix.zero(rows, cols))
@@ -414,6 +466,11 @@ _INT_READERS = {
     "hecke_class": (lambda x: hecke_extension_feasible(_CM, 4, {"s0": x, "s0c": -2}),
                     HeckeFeasibility(True, False)),
     "quaternion_places": (lambda x: quaternion_places(x, 3), (2, 3)),
+    "heisenberg_group": (heisenberg_group, HeisenbergGroup(2)),
+    "rep_rho_modulus": (lambda x: rep_rho(x, 1), MonomialRep(2, 1)),
+    "rep_rho_alpha": (lambda x: rep_rho(5, x), MonomialRep(5, 2)),
+    "lattice_map_source_rank": (lambda x: LatticeMap.from_rows([], source_rank=x),
+                                LatticeMap(2, 0, IntMatrix(0, 2, ()))),
 }
 
 # every library entry point that reads ints and Fractions through

@@ -210,3 +210,30 @@ def test_intmat_defines_no_nested_function():
                  for inner in ast.walk(outer)
                  if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda))]
     assert offenders == []
+
+
+def _is_bareiss_update(node):
+    """(a * b - c * d) // p: the fraction-free step of a Bareiss elimination."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and all(isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                    for t in (node.left.left, node.left.right)))
+
+
+def test_intmat_has_one_determinant_kernel():
+    # det, the unimodularity and minor routes and _check_smith measure plain
+    # rows through _det; minor_gcd and _check_smith wrap no minor, product or
+    # transform in an IntMatrix, by a constructor or by a matrix product
+    tree = ast.parse((Path(liftcalc.__file__).parent / "intmat.py").read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    eliminating = [name for name, f in functions.items()
+                   if any(_is_bareiss_update(n) for n in ast.walk(f))]
+    assert eliminating == ["_det"]
+    for name in ("det", "minor_gcd"):
+        assert "_det" in {n.func.id for n in ast.walk(functions[name])
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    offenders = [f"{name}:{ast.unparse(n)}" for name in ("minor_gcd", "_check_smith")
+                 for n in ast.walk(functions[name])
+                 if (isinstance(n, ast.Call) and "IntMatrix" in ast.unparse(n.func))
+                 or (isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.MatMult)))]
+    assert offenders == []

@@ -883,6 +883,34 @@ def test_spin_restriction_bound_on_partial_images():
     assert len(_spin_restriction(small, 2 * n - 1).doubled) == 2 ** (n - 1)
 
 
+def test_kuga_satake_bound_before_the_embedding(monkeypatch):
+    # g = 4096 would build a 4096 x 16 775 167 embedding just to refuse it
+    def unbuilt(g):
+        raise AssertionError("the embedding was built")
+
+    monkeypatch.setattr(weights, "kuga_satake_embedding", unbuilt)
+    with pytest.raises(BoundError, match="at least 2\\^4095 "):
+        kuga_satake_spin_pullback(4096)
+
+
+def test_kuga_satake_independent_columns_in_closed_form():
+    # the greedy count of _spin_restriction, on the built embedding
+    for g in range(2, 41):
+        touched, k = set(), 0
+        for c in zip(*kuga_satake_embedding(g).numer.entries):
+            support = {i for i, x in enumerate(c) if x}
+            if not support <= touched:
+                touched |= support
+                k += 1
+        assert k == g - 1
+    N = comb(2 * 17, 2) - 1
+    with pytest.raises(BoundError) as built:
+        _spin_restriction(kuga_satake_embedding(17), N)
+    with pytest.raises(BoundError) as closed:
+        kuga_satake_spin_pullback(17)
+    assert str(closed.value) == str(built.value)
+
+
 
 def test_datum_built_two_ways_shares_the_caches():
     # the per-datum caches key on the datum, so a copy built by hand is the
