@@ -109,8 +109,7 @@ class MonomialRep:
 
 
 def rep_rho(n: int, alpha: int) -> MonomialRep:
-    if type(n) is not int or type(alpha) is not int:   # int_tuple's first test, inline
-        n, alpha = int_tuple((n, alpha))
+    n, alpha = int_tuple((n, alpha))
     if n < 2:
         raise InputError("modulus must be at least 2")
     return MonomialRep(n, alpha % n)

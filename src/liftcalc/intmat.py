@@ -90,10 +90,7 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise InputError("dimension mismatch in matrix product")
-            cols = tuple(zip(*other.entries)) or ((),) * other.cols
-            return IntMatrix(self.rows, other.cols,
-                             tuple(tuple(sum(map(mul, r, c)) for c in cols)
-                                   for r in self.entries))
+            return IntMatrix(self.rows, other.cols, _product(self.entries, other))
         return NotImplemented
 
     def apply(self, vec):
@@ -121,6 +118,12 @@ class IntMatrix:
                 if g == 1:
                     return 1
         return g
+
+
+def _product(rows, B) -> tuple:
+    """Rows of the product of the row tuples rows with the IntMatrix B."""
+    cols = tuple(zip(*B.entries)) or ((),) * B.cols
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in rows)
 
 
 def _det(m) -> int:
@@ -245,10 +248,7 @@ def _check_smith(A, form):
     shapes = ((form.U.rows, form.U.cols), (form.D.rows, form.D.cols), (form.V.rows, form.V.cols))
     if shapes != ((A.rows, A.rows), (A.rows, A.cols), (A.cols, A.cols)):
         raise AssertionError("SNF factors have the wrong shapes")
-    # U A V on plain rows; zip(*X) is short only if X has no rows: U or V is empty
-    UA = [[sum(map(mul, r, c)) for c in zip(*A.entries)] for r in form.U.entries]
-    UAV = tuple(tuple(sum(map(mul, r, c)) for c in zip(*form.V.entries)) for r in UA)
-    if UAV != form.D.entries:
+    if _product(_product(form.U.entries, A), form.V) != form.D.entries:
         raise AssertionError("SNF identity U*A*V = D violated")
     if not form.U.is_unimodular() or not form.V.is_unimodular():
         raise AssertionError("SNF transforms not unimodular")

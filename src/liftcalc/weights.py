@@ -364,6 +364,12 @@ def _require_spin_images(N: int, k: int):
                          f"distinct weights, above the bound 2^{MAX_SPIN_RANK}")
 
 
+def _require_half(N: int, half: str):
+    """Refuse a half other than plus, minus or both where so_N has two (N even)."""
+    if N % 2 == 0 and half not in ("plus", "minus", "both"):
+        raise InputError("half must be plus, minus, or both")
+
+
 def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultiset:
     """Image of the (half-)spin multiset of so_N under f, without sign vectors.
 
@@ -377,8 +383,7 @@ def _spin_restriction(f: LatticeMap, N: int, half: str = "both") -> WeightMultis
     fewer, so more than 2^MAX_SPIN_RANK of them raises ``BoundError``.
     """
     n = N // 2
-    if N % 2 == 0 and half not in ("plus", "minus", "both"):
-        raise InputError("half must be plus, minus, or both")
+    _require_half(N, half)
     if f.source_rank != n:
         raise InputError("multiset rank does not match the map source")
     if any(sum(r) % 2 for r in f.numer.entries):
@@ -603,9 +608,13 @@ def kuga_satake_spin_pullback(g: int, half: str = "both") -> WeightMultiset:
 
     The embedding's columns e_1 + e_j, j = 2..g, are the g - 1 independent
     columns _spin_restriction counts, so the bound is checked on that count
-    before the embedding is built.
+    before the embedding is built, after g and half are read.
     """
-    N = g * (2 * g - 1) - 1   # comb(2g, 2) - 1, defined for g < 1 as well
+    (g,) = int_tuple((g,))
+    if g < 1:
+        raise InputError("g must be >= 1")
+    N = comb(2 * g, 2) - 1
+    _require_half(N, half)
     _require_spin_images(N, g - 1)
     return _spin_restriction(kuga_satake_embedding(g), N, half)
 

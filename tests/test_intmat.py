@@ -45,7 +45,7 @@ from liftcalc.qforms import (
     squarefree_class,
 )
 from liftcalc.rootdata import central_quotient_data, datum_by_name, minimal_torus_embed
-from liftcalc.weights import LatticeMap, WeightMultiset, weyl_dimension
+from liftcalc.weights import LatticeMap, WeightMultiset, kuga_satake_spin_pullback, weyl_dimension
 
 
 def from_orders(orders, free_rank=0):
@@ -471,6 +471,7 @@ _INT_READERS = {
     "rep_rho_alpha": (lambda x: rep_rho(5, x), MonomialRep(5, 2)),
     "lattice_map_source_rank": (lambda x: LatticeMap.from_rows([], source_rank=x),
                                 LatticeMap(2, 0, IntMatrix(0, 2, ()))),
+    "kuga_satake_genus": (kuga_satake_spin_pullback, kuga_satake_spin_pullback(2)),
 }
 
 # every library entry point that reads ints and Fractions through

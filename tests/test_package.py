@@ -222,15 +222,17 @@ def _is_bareiss_update(node):
 
 def test_intmat_has_one_determinant_kernel():
     # det, the unimodularity and minor routes and _check_smith measure plain
-    # rows through _det; minor_gcd and _check_smith wrap no minor, product or
+    # rows through _det, and __mul__ and _check_smith multiply through
+    # _product; minor_gcd and _check_smith wrap no minor, product or
     # transform in an IntMatrix, by a constructor or by a matrix product
     tree = ast.parse((Path(liftcalc.__file__).parent / "intmat.py").read_text())
     functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
     eliminating = [name for name, f in functions.items()
                    if any(_is_bareiss_update(n) for n in ast.walk(f))]
     assert eliminating == ["_det"]
-    for name in ("det", "minor_gcd"):
-        assert "_det" in {n.func.id for n in ast.walk(functions[name])
+    for name, kernel in (("det", "_det"), ("minor_gcd", "_det"),
+                         ("__mul__", "_product"), ("_check_smith", "_product")):
+        assert kernel in {n.func.id for n in ast.walk(functions[name])
                           if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     offenders = [f"{name}:{ast.unparse(n)}" for name in ("minor_gcd", "_check_smith")
                  for n in ast.walk(functions[name])

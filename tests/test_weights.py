@@ -911,6 +911,15 @@ def test_kuga_satake_independent_columns_in_closed_form():
     assert str(closed.value) == str(built.value)
 
 
+def test_kuga_satake_reads_g_and_half_before_the_bound():
+    # at g = 17 the bound refuses, but a bad g or half is an input error first
+    with pytest.raises(InputError, match="half must be"):
+        kuga_satake_spin_pullback(17, "bogus")
+    with pytest.raises(InputError, match="expected an integer"):
+        kuga_satake_spin_pullback(20.0)
+    with pytest.raises(InputError, match="g must be >= 1"):
+        kuga_satake_spin_pullback(-1, "bogus")
+
 
 def test_datum_built_two_ways_shares_the_caches():
     # the per-datum caches key on the datum, so a copy built by hand is the
