@@ -34,6 +34,7 @@ _EXPORTS = {
     "cmdata": (
         "CMEmbeddingData",
         "galois_char_feasible",
+        "gl1_obstruction",
         "hecke_extension_feasible",
     ),
     "lifting": (

@@ -123,13 +123,14 @@ def _classes_mod(data, n: int, classes: dict) -> tuple:
     return n, {l: k % n for l, k in zip(data.labels, int_tuple(classes[l] for l in data.labels))}
 
 
-def _through_restrict(data, labels, classes: dict) -> dict | None:
-    """The class at each cm label under ``labels``, or None when two classes there differ."""
-    by_cm = {}
+def _restriction_clash(data, labels, classes: dict) -> tuple | None:
+    """The first two of ``labels`` with one restriction and different classes, or None."""
+    first = {}
     for l in labels:
-        if by_cm.setdefault(data.restrict[l], classes[l]) != classes[l]:
-            return None
-    return by_cm
+        a = first.setdefault(data.restrict[l], l)
+        if classes[a] != classes[l]:
+            return a, l
+    return None
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def hecke_extension_feasible(data: CMEmbeddingData, n: int, m: dict) -> HeckeFea
         if (m[l] + m[data.conj[l]]) % n != 0:
             raise InputError(f"classes at {l!r} and its conjugate are not opposite")
     moved = data.complex_labels()
-    type_a = _through_restrict(data, moved, m) is not None
+    type_a = _restriction_clash(data, moved, m) is None
     finite = all(m[l] == 0 for l in moved)
     return HeckeFeasibility(type_a, finite)
 
@@ -175,19 +176,12 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     criteria exactly and reduces to the input classes mod n.
     """
     n, k = _classes_mod(data, n, k)
-
-    # (a) factor through the restriction
-    by_cm = _through_restrict(data, data.labels, k)
-    if by_cm is None:
+    if _obstruction(data, n, k) is not None:
         return None
-
-    # (b) one purity weight across the cm labels; a fixed t adds 2 k_t
+    by_cm = {data.restrict[l]: k[l] for l in data.labels}
     fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]
-    sums = {(by_cm[t] + by_cm[data.cm_conj[t]]) % n for t in data.cm_labels}
-    if len(sums) != 1 or len({by_cm[t] for t in fixed}) > 1:
-        # totally real directions inside the CM restriction must agree
-        return None
-    w = next(iter(sums))
+    t = data.cm_labels[0]
+    w = (by_cm[t] + by_cm[data.cm_conj[t]]) % n
 
     # integer lifts: each representative t <= cm_conj(t) keeps its class and
     # its conjugate takes the rest of the weight; a fixed direction pins the
@@ -203,6 +197,40 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
     witness = CharWitness(w, weights)
     _verify_witness(data, n, k, witness)
     return witness
+
+
+def gl1_obstruction(data: CMEmbeddingData, n: int, k: dict) -> tuple | None:
+    """The two labels at which classes k_l mod n fail galois_char_feasible's
+    criteria, or None when a witness exists."""
+    n, k = _classes_mod(data, n, k)
+    return _obstruction(data, n, k)
+
+
+def _obstruction(data, n, k):
+    """Two labels naming the first criterion of galois_char_feasible that fails, or None.
+
+    The criteria are read in order: (a) two labels with one restriction and
+    different classes; (b) two labels whose pair sums k_l + k_{conj l}
+    differ, then two labels over cm labels fixed by the cm conjugation
+    whose classes differ.  Once (a) holds, the pair sum at a label is the
+    one at its cm label, so each cm label is named by the first label over it.
+    """
+    clash = _restriction_clash(data, data.labels, k)
+    if clash is not None:
+        return clash
+    over = {data.restrict[l]: l for l in reversed(data.labels)}
+
+    def pair_sum(t):
+        return (k[over[t]] + k[over[data.cm_conj[t]]]) % n
+    first = data.cm_labels[0]
+    for t in data.cm_labels:
+        if pair_sum(t) != pair_sum(first):
+            return over[first], over[t]
+    fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]
+    for t in fixed:
+        if k[over[t]] != k[over[fixed[0]]]:
+            return over[fixed[0]], over[t]
+    return None
 
 
 def _verify_witness(data, n, k, witness):

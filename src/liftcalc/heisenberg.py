@@ -36,8 +36,10 @@ class HeisenbergGroup:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
+        (n,) = int_tuple((self.n,))
+        if n < 2:
             raise InputError("modulus must be at least 2")
+        object.__setattr__(self, "n", n)
 
     def mul(self, g, h):
         n = self.n
@@ -51,7 +53,6 @@ class HeisenbergGroup:
 
 
 def heisenberg_group(n: int) -> HeisenbergGroup:
-    (n,) = int_tuple((n,))
     return HeisenbergGroup(n)
 
 
@@ -90,14 +91,23 @@ class Monomial:
 
 @dataclass(frozen=True)
 class MonomialRep:
-    """The monomial representation with B-eigenvalues zeta^{(i-1) alpha}."""
+    """The monomial representation with B-eigenvalues zeta^{(i-1) alpha}.
+
+    n and alpha are read as integers, n must be at least 2 and alpha a
+    unit modulo n, and alpha is held reduced mod n.
+    """
 
     n: int
     alpha: int
 
     def __post_init__(self):
-        if gcd(self.alpha, self.n) != 1:
+        n, alpha = int_tuple((self.n, self.alpha))
+        if n < 2:
+            raise InputError("modulus must be at least 2")
+        if gcd(alpha, n) != 1:
             raise InputError("alpha must be a unit modulo n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha % n)
 
     def rho(self, g) -> Monomial:
         a, b, c = g
@@ -109,10 +119,7 @@ class MonomialRep:
 
 
 def rep_rho(n: int, alpha: int) -> MonomialRep:
-    n, alpha = int_tuple((n, alpha))
-    if n < 2:
-        raise InputError("modulus must be at least 2")
-    return MonomialRep(n, alpha % n)
+    return MonomialRep(n, alpha)
 
 
 def rep_determinant(r: MonomialRep) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cmdata import CMEmbeddingData, galois_char_feasible
+from .cmdata import CMEmbeddingData, galois_char_feasible, gl1_obstruction
 from .intmat import BoundError, InputError, int_tuple, rational_tuple
 from .rootdata import (
     BasedRootDatum,
@@ -69,7 +69,7 @@ class ObstructionReport:
     moduli: tuple
     classes: dict                    # label -> torsion class tuple
     witness: dict | None             # label -> tuple of Fractions (central twist weights)
-    certificate: tuple | None        # (label, label) with distinct classes
+    certificate: tuple | None        # (label, label) at which the failed criterion fails
     purity_weights: tuple            # per coordinate: common w_i mod d_i, or None
     hodge_symmetric: bool            # all purity weights exist
     notes: tuple = ()
@@ -161,11 +161,10 @@ def geometric_lift_exists(cqd: CentralQuotientData, h: HodgeFamily, mode: str) -
         witness = {l: tuple(families[i][l] for i in range(len(d))) for l in labels}
         return ObstructionReport(
             "lift_exists", mode, d, classes, witness, None, tuple(purity), True)
-    cert = _first_differing_pair(classes, labels, range(len(d)))
-    if cert is None:
-        # constant classes are always feasible: if no adjacent sorted pair
-        # differs, all classes are equal
-        raise AssertionError("infeasible imaginary instance with constant classes")
+    # the certificate names the labels of the criterion that fails at the
+    # first infeasible coordinate
+    i = families.index(None)
+    cert = gl1_obstruction(h.data, d[i], {l: classes[l][i] for l in labels})
     return ObstructionReport(
         "obstructed", mode, d, classes, None, cert, tuple(purity), False)
 

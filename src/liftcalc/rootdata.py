@@ -218,6 +218,18 @@ class CenterMap:
 def center_characters(rd: BasedRootDatum) -> CenterMap:
     """Characters of the center, X(T)/(root lattice), read off the Smith form U A V = D
     of the simple roots: the map's rows are the rows of U past those of factor 1."""
+    return _center_characters(rd)
+
+
+@cache
+def _center_characters(rd):
+    """The checked CenterMap of rd, computed once per datum.
+
+    The cache keys on the datum itself, like _positive_roots, so
+    minimal_torus_embed, gm_embed and central_quotient_data share one map.
+    An invalid datum raises InputError on every call, as a functools cache
+    stores no exception.
+    """
     _require_valid(rd)
     form = smith_normal_form(_simple_root_matrix(rd))
     ones = form.invariant_factors.count(1)
@@ -233,9 +245,9 @@ def center_characters(rd: BasedRootDatum) -> CenterMap:
 # cache and each standard datum is built and validated once per process.  The
 # caches are typed, so 2 and 2.0 are separate keys, and simple_type
 # upper-cases the family first, so "e" and "E" are one.  A builder that raises
-# caches nothing.  The per-datum caches (_positive_roots here, the Freudenthal
-# tables in weights) key on the datum itself, so a datum built by hand with
-# the same vectors shares their entries.
+# caches nothing.  The per-datum caches (_positive_roots and the centre,
+# _center_characters, here, the Freudenthal tables in weights) key on the datum
+# itself, so a datum built by hand with the same vectors shares their entries.
 
 
 def _unit(n, i, c=1):

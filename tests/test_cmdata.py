@@ -8,6 +8,7 @@ import pytest
 from liftcalc.cmdata import (
     CMEmbeddingData,
     galois_char_feasible,
+    gl1_obstruction,
     hecke_extension_feasible,
 )
 from liftcalc.intmat import InputError
@@ -335,6 +336,47 @@ def test_galchar_mixed_fixed_and_paired_cm_labels():
     assert feasible > 300
     # the witnesses themselves, pinned: the same inputs give the same weights
     assert digest.hexdigest() == "d527cf9addad3d789935ac89a09e895a00c6e777de0ec978c93a4e29b7c45004"
+
+
+def _fails_a_criterion(data, n, k, a, b):
+    """Do labels a and b witness a failed criterion of galois_char_feasible?"""
+    ka, kb = k[a] % n, k[b] % n
+    if data.restrict[a] == data.restrict[b]:
+        return ka != kb
+    sa, sb = (ka + k[data.conj[a]]) % n, (kb + k[data.conj[b]]) % n
+    fixed = all(data.cm_conj[data.restrict[l]] == data.restrict[l] for l in (a, b))
+    return sa != sb or (fixed and ka != kb)
+
+
+def test_gl1_obstruction_names_each_criterion():
+    # (a) a and b restrict to t with classes 1 and 2
+    assert gl1_obstruction(general_imaginary_example(), 3,
+                           {"a": 1, "b": 2, "ac": 0, "bc": 0}) == ("a", "b")
+    # (b) pair sums 1 at s0 and 0 at s1; s0 and s0c differ but lift alone
+    data = CMEmbeddingData.cm_pairs(2)
+    assert gl1_obstruction(data, 2, {"s0": 1, "s0c": 0, "s1": 0, "s1c": 0}) == ("s0", "s1")
+    assert gl1_obstruction(data, 2, {"s0": 1, "s0c": 0, "s1": 1, "s1c": 0}) is None
+    # (b) two fixed cm labels with classes 0 and 2 mod 4: both sums are 0
+    fixed = CMEmbeddingData.make(
+        ["e0", "e1", "e2", "e3"], {"e0": "e1", "e1": "e0", "e2": "e3", "e3": "e2"},
+        ["f0", "f1"], {"e0": "f0", "e1": "f0", "e2": "f1", "e3": "f1"},
+        {"f0": "f0", "f1": "f1"}, "general_imaginary")
+    assert gl1_obstruction(fixed, 4, {"e0": 0, "e1": 0, "e2": 2, "e3": 2}) == ("e0", "e2")
+
+
+def test_gl1_obstruction_certifies_every_refusal():
+    rng = random.Random(20123)
+    refused = 0
+    for _ in range(1500):
+        data = mixed_imaginary_data(rng)
+        n = rng.randint(2, 6)
+        k = mixed_classes(rng, data, n, opposite=False)
+        cert = gl1_obstruction(data, n, k)
+        assert (cert is None) == (galois_char_feasible(data, n, k) is not None)
+        if cert is not None:
+            refused += 1
+            assert _fails_a_criterion(data, n, k, *cert)
+    assert refused > 300
 
 
 def test_hecke_mixed_fixed_and_paired_cm_labels():

@@ -9,6 +9,7 @@ import pytest
 from liftcalc import heisenberg
 from liftcalc.cli import main
 from liftcalc.heisenberg import (
+    HeisenbergGroup,
     Monomial,
     MonomialRep,
     elementwise_projective_conjugate,
@@ -437,6 +438,23 @@ def test_rep_rejects_non_unit():
         rep_rho(4, 2)
     with pytest.raises(InputError):
         rep_rho(0, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MonomialRep(1, 1), lambda: MonomialRep(-3, 1), lambda: HeisenbergGroup(1),
+    lambda: MonomialRep(5, True), lambda: HeisenbergGroup(2.5), lambda: MonomialRep(5.0, 2),
+    lambda: rep_rho(5, True),
+], ids=["rep_n1", "rep_n_negative", "group_n1", "rep_alpha_true", "group_float",
+        "rep_n_float", "rep_rho_alpha_true"])
+def test_constructors_read_their_own_numbers(build):
+    # the dataclasses read n and alpha themselves, so building one directly
+    # is checked as rep_rho and heisenberg_group are
+    with pytest.raises(InputError):
+        build()
+
+
+def test_monomial_rep_holds_alpha_mod_n():
+    assert MonomialRep(5, 7) == MonomialRep(5, -3) == rep_rho(5, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -467,6 +467,9 @@ _INT_READERS = {
                     HeckeFeasibility(True, False)),
     "quaternion_places": (lambda x: quaternion_places(x, 3), (2, 3)),
     "heisenberg_group": (heisenberg_group, HeisenbergGroup(2)),
+    "HeisenbergGroup": (HeisenbergGroup, HeisenbergGroup(2)),
+    "MonomialRep_modulus": (lambda x: MonomialRep(x, 1), MonomialRep(2, 1)),
+    "MonomialRep_alpha": (lambda x: MonomialRep(5, x), MonomialRep(5, 2)),
     "rep_rho_modulus": (lambda x: rep_rho(x, 1), MonomialRep(2, 1)),
     "rep_rho_alpha": (lambda x: rep_rho(5, x), MonomialRep(5, 2)),
     "lattice_map_source_rank": (lambda x: LatticeMap.from_rows([], source_rank=x),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from test_intmat import NOT_INTEGERS, TWOS
 
-from liftcalc.cmdata import CMEmbeddingData
+from liftcalc.cmdata import CMEmbeddingData, galois_char_feasible
 from liftcalc.intmat import InputError
 from liftcalc.lifting import (
     HodgeFamily,
@@ -144,8 +144,14 @@ def test_geometric_lift_imaginary_obstructed_purity():
     h = HodgeFamily.make(data, mu)
     rep = geometric_lift_exists(cqd, h, "imaginary")
     assert rep.decision == "obstructed"
+    # the pair sums at s0 and s1 differ, 1 against 0; s0 and s0c have
+    # different classes but are no obstruction: one cm pair alone lifts
+    assert rep.certificate == ("s0", "s1")
+    (d,) = rep.moduli
     a, b = rep.certificate
-    assert rep.classes[a] != rep.classes[b]
+    assert ((rep.classes[a][0] + rep.classes[data.conj[a]][0]) % d
+            != (rep.classes[b][0] + rep.classes[data.conj[b]][0]) % d)
+    assert galois_char_feasible(CMEmbeddingData.cm_pairs(1), d, {"s0": 1, "s0c": 0})
 
 
 def test_geometric_lift_sl3_imaginary_any_pure_family():

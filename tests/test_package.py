@@ -72,6 +72,19 @@ def test_no_module_level_cache_dicts():
         assert dicts == [], info.name
 
 
+def test_no_public_name_is_a_cache_wrapper():
+    # a cache sits behind a plain public function (center_characters reads
+    # _center_characters): the benchmark's span tracer wraps plain functions
+    # only, so a public cache wrapper would drop out of its per-layer metrics
+    for info in pkgutil.iter_modules(liftcalc.__path__):
+        if info.name == "__main__":
+            continue
+        module = import_module(f"liftcalc.{info.name}")
+        wrappers = [name for name, value in vars(module).items()
+                    if not name.startswith("_") and hasattr(value, "cache_clear")]
+        assert wrappers == [], info.name
+
+
 def _public_definitions(tree):
     """Public module-level functions and classes, and the public methods of those classes."""
     for node in tree.body:

@@ -6,6 +6,7 @@ import pytest
 from test_intmat import NOT_INTEGERS, TWOS, random_unimodular
 
 from liftcalc import intmat, rootdata
+from liftcalc.lifting import classify_simple_types
 from liftcalc.intmat import (
     BoundError,
     FinAbGroup,
@@ -348,6 +349,59 @@ def test_each_standard_datum_is_validated_once(monkeypatch):
     # C3.sc (behind B3.adjoint and SO7 too), GSp4 and the C2.sc inside it,
     # GL3, A2.sc, E6.adjoint and B1.sc; the family's case makes no new datum
     assert len(seen) == len(set(seen)) == 7
+
+
+def _count_validations(monkeypatch):
+    """Empty every builder and per-datum cache of rootdata, then record each
+    datum given to validate in the list returned."""
+    for cached in ("_simple_type", "_sp_datum", "_so_odd_datum", "_gsp_datum", "_gl_datum",
+                   "_positive_roots", "_center_characters"):
+        getattr(rootdata, cached).cache_clear()
+    seen = []
+    real = rootdata.validate
+
+    def counting(rd):
+        seen.append(rd)
+        return real(rd)
+
+    monkeypatch.setattr(rootdata, "validate", counting)
+    return seen
+
+
+def test_classify_validates_each_type_three_times(monkeypatch):
+    # the builder, the centre (shared by minimal_torus_embed and
+    # central_quotient_data) and longest_element_is_minus_one
+    seen = _count_validations(monkeypatch)
+    classify_simple_types(8)
+    assert len(set(seen)) == 32
+    assert len(seen) == 96
+
+
+def test_quotient_of_the_minimal_embedding_validates_once(monkeypatch):
+    seen = _count_validations(monkeypatch)
+    rd = BasedRootDatum.make([[1, -1], [0, 2]], [[1, -1], [0, 1]])
+    central_quotient_data(rd, minimal_torus_embed(rd))
+    assert seen == [rd]
+
+
+def test_an_invalid_datum_is_refused_on_every_call(monkeypatch):
+    # affine A~2: every proper principal minor is positive, det C = 0; a
+    # functools cache stores no exception, so the second call checks again
+    seen = _count_validations(monkeypatch)
+    C = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    rd = BasedRootDatum.make(C, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for _ in range(2):
+        with pytest.raises(InputError, match="principal minor"):
+            center_characters(rd)
+    assert seen == [rd, rd]
+
+
+def test_equal_data_share_one_center_map():
+    rd = datum_by_name("C3.sc")
+    copy = BasedRootDatum.make([list(r) for r in rd.simple_roots],
+                               [list(r) for r in rd.simple_coroots])
+    assert copy == rd and copy is not rd
+    assert center_characters(copy) is center_characters(rd)
 
 
 @pytest.mark.parametrize("build,args", [
