@@ -34,7 +34,6 @@ _EXPORTS = {
     "cmdata": (
         "CMEmbeddingData",
         "galois_char_feasible",
-        "gl1_obstruction",
         "hecke_extension_feasible",
     ),
     "lifting": (

@@ -180,8 +180,8 @@ def galois_char_feasible(data: CMEmbeddingData, n: int, k: dict) -> CharWitness 
         return None
     by_cm = {data.restrict[l]: k[l] for l in data.labels}
     fixed = [t for t in data.cm_labels if data.cm_conj[t] == t]
-    t = data.cm_labels[0]
-    w = (by_cm[t] + by_cm[data.cm_conj[t]]) % n
+    first = data.cm_labels[0]
+    w = (by_cm[first] + by_cm[data.cm_conj[first]]) % n
 
     # integer lifts: each representative t <= cm_conj(t) keeps its class and
     # its conjugate takes the rest of the weight; a fixed direction pins the
