@@ -354,9 +354,9 @@ def test_each_standard_datum_is_validated_once(monkeypatch):
 def _count_validations(monkeypatch):
     """Empty every builder and per-datum cache of rootdata, then record each
     datum given to validate in the list returned."""
-    for cached in ("_simple_type", "_sp_datum", "_so_odd_datum", "_gsp_datum", "_gl_datum",
-                   "_positive_roots", "_center_characters"):
-        getattr(rootdata, cached).cache_clear()
+    for value in list(vars(rootdata).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
     seen = []
     real = rootdata.validate
 
