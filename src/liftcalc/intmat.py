@@ -28,7 +28,10 @@ def int_tuple(values) -> tuple:
     denominator 1, such as Fraction(4, 2); anything else, 1.5, 1.0, "7" and
     True among them, raises InputError rather than being truncated."""
     out = tuple(values)
-    if all(type(x) is int for x in out):
+    for x in out:
+        if type(x) is not int:
+            break
+    else:
         return out
     for x in out:
         if type(x) is bool or not (isinstance(x, Rational) and x.denominator == 1):

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
-from operator import mul
 
 from .intmat import BoundError, InputError, int_tuple, rational_tuple
 
@@ -49,10 +47,8 @@ class QForm:
         n = len(g)
         if any(len(r) != n for r in g):
             raise InputError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise InputError("Gram matrix must be symmetric")
+        if tuple(zip(*g)) != g:
+            raise InputError("Gram matrix must be symmetric")
         return QForm(g, n)
 
     @staticmethod
@@ -73,7 +69,13 @@ class QForm:
 
 
 def diagonalize(q: QForm) -> list:
-    """Diagonal entries of a rationally congruent diagonal form.
+    """Diagonal entries of a rationally congruent diagonal form, as Fractions."""
+    return [Fraction(a, b) for a, b in _diagonal_pairs(q)]
+
+
+def _diagonal_pairs(q: QForm) -> list:
+    """Diagonal entries of a rationally congruent diagonal form, each as an
+    integer pair (numerator, positive denominator) in lowest terms.
 
     Each row is held as integer numerators over one positive denominator.
     Pivots are chosen by zero tests alone, which a row's scale does not
@@ -111,7 +113,8 @@ def diagonalize(q: QForm) -> list:
                 for r in m:
                     r[i] += r[l]
         p = m[i][i]
-        diag.append(Fraction(p, den[i]))
+        g = gcd(p, den[i])
+        diag.append((p // g, den[i] // g))
         # row_k - (r / p) pivot over den_k is (p row_k - r pivot) / (p den_k):
         # the pivot row's own denominator cancels
         s, tail = (p, m[i][i + 1:]) if p > 0 else (-p, [-x for x in m[i][i + 1:]])
@@ -277,19 +280,29 @@ def invariants(q: QForm) -> QFormInvariants:
 
     Everything is read off the leading minors D_j = a_1 ... a_j of a
     diagonalization, each held as its numerator times its denominator,
-    which differs from D_j by a square.  The Hasse symbol at v, the product
-    of (a_i, a_j)_v over i < j, is the product of (D_{j-1}, -D_j)_v over j,
-    by bilinearity and (a, a) = (a, -1).  For a Gram matrix G with least
-    common denominator m, only inf, 2 and the primes of m det G can carry
-    -1 (Cassels, *Rational Quadratic Forms*, ch. 8), so only det G = D_n and
-    m are factored, each cut first by its gcds with the diagonal entries.
+    which differs from D_j by a square.  The elimination hands each a_j over
+    as an integer pair (numerator, denominator) in lowest terms, and D_j is
+    carried as such a pair, reduced by one gcd per step, so signs, minors
+    and the numbers factored are all read on integers, with no Fraction
+    built.  The Hasse symbol at v, the product of (a_i, a_j)_v over i < j,
+    is the product of (D_{j-1}, -D_j)_v over j, by bilinearity and
+    (a, a) = (a, -1).  For a Gram matrix G with least common denominator m,
+    only inf, 2 and the primes of m det G can carry -1 (Cassels, *Rational
+    Quadratic Forms*, ch. 8), so only det G = D_n and m are factored, each
+    cut first by its gcds with the diagonal entries.
     The report lists inf, 2, the primes of the discriminant and every -1
     place; the product formula is verified over all candidate places.
     """
-    diag = diagonalize(q)
-    parts = [x for d in diag for x in (abs(d.numerator), d.denominator) if x > 1]
-    minors = [d.numerator * d.denominator for d in accumulate(diag, mul, initial=1)]
-    pos = sum(1 for d in diag if d > 0)
+    diag = _diagonal_pairs(q)
+    parts = [x for a, b in diag for x in (abs(a), b) if x > 1]
+    minors = [1]
+    num = den = 1
+    for a, b in diag:
+        num, den = num * a, den * b
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        minors.append(num * den)
+    pos = sum(1 for a, _ in diag if a > 0)
     det = _factor(abs(minors[-1]), parts)
     disc = (-1 if minors[-1] < 0 else 1) * prod(p for p, e in det.items() if e % 2)
     # a prime of m that divides no diagonal entry divides no minor, so all its symbols are 1

@@ -252,3 +252,26 @@ def test_intmat_has_one_determinant_kernel():
                  if (isinstance(n, ast.Call) and "IntMatrix" in ast.unparse(n.func))
                  or (isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.MatMult)))]
     assert offenders == []
+
+
+def _is_schur_update(node):
+    """s * a - r * b: the integer row update of an elimination step."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and all(isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                    for t in (node.left, node.right)))
+
+
+def test_qforms_has_one_elimination_kernel():
+    # diagonalize and invariants both read the pivots of _diagonal_pairs, and
+    # the invariants are read on its integer pairs: no Fraction is named there
+    tree = ast.parse((Path(liftcalc.__file__).parent / "qforms.py").read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    eliminating = [name for name, f in functions.items()
+                   if any(_is_schur_update(n) for n in ast.walk(f))]
+    assert eliminating == ["_diagonal_pairs"]
+    for name in ("diagonalize", "invariants"):
+        assert "_diagonal_pairs" in {n.func.id for n in ast.walk(functions[name])
+                                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    for name in ("invariants", "witt_class_places"):
+        assert "Fraction" not in {n.id for n in ast.walk(functions[name])
+                                  if isinstance(n, ast.Name)}

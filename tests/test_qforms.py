@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 from test_golden_qforms import seeded_grams
@@ -10,6 +12,7 @@ from liftcalc import qforms
 from liftcalc.intmat import BoundError, InputError
 from liftcalc.qforms import (
     QForm,
+    QFormInvariants,
     diagonalize,
     e8_form,
     even_clifford_split,
@@ -77,6 +80,21 @@ def test_invariants_of_an_integral_form_build_only_the_diagonal(monkeypatch):
     inv = invariants(q)
     assert inv.discriminant == 110311 and inv.signature == (2, 4)
     assert len(made) <= q.rank
+
+
+def test_invariants_build_no_fraction(monkeypatch):
+    # the pivots come out of the elimination as integer pairs, and the minors
+    # are carried as pairs too, for an integral form and a rational one alike
+    made = _count_fractions(monkeypatch)
+    assert invariants(QForm.from_gram(_RANK6)).discriminant == 110311
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    rational = QForm.from_gram([[half, third, 0], [third, 0, Fraction(5, 4)],
+                                [0, Fraction(5, 4), Fraction(7, 6)]])
+    inv = invariants(rational)
+    split = even_clifford_split(rational)
+    assert made == []
+    assert (inv.signature, inv.discriminant) == ((2, 1), -4722)
+    assert split == even_clifford_split_oracle(rational)
 
 
 def test_clifford_oracle_of_an_integral_form_builds_only_the_diagonal(monkeypatch):
@@ -307,6 +325,72 @@ def test_invariants_match_the_per_entry_route():
             assert set(got.hasse) == {"inf", 2, *of_disc, *minus} and prod(of_disc) == abs(disc)
         outcomes.append(want if type(want) is str else "answered")
     assert outcomes.count("answered") > 2500 and "answered now" in outcomes
+
+
+def invariants_by_fractions(q):
+    """invariants read on Fractions: the entries of diagonalize, their running
+    Fraction products as the minors, and the same two _factor calls."""
+    diag = diagonalize(q)
+    parts = [x for d in diag for x in (abs(d.numerator), d.denominator) if x > 1]
+    minors = [d.numerator * d.denominator for d in accumulate(diag, mul, initial=1)]
+    pos = sum(1 for d in diag if d > 0)
+    det = qforms._factor(abs(minors[-1]), parts)
+    disc = (-1 if minors[-1] < 0 else 1) * prod(p for p, e in det.items() if e % 2)
+    m = gcd(lcm(*(x.denominator for r in q.gram for x in r)), prod(parts))
+    places = ["inf", *sorted({2, *det, *qforms._factor(m, parts)})]
+    symbols = {v: prod(qforms._hilbert_symbol(a, -b, v) for a, b in zip(minors, minors[1:]))
+               for v in places}
+    assert prod(symbols.values()) == 1
+    hasse = {v: s for v, s in symbols.items() if v in ("inf", 2) or s == -1 or disc % v == 0}
+    return QFormInvariants(q.rank, (pos, len(diag) - pos), disc, hasse)
+
+
+def seeded_integral_grams(seed=41):
+    """300 integral Gram matrices of ranks 2 to 7 with entries in [-4, 4]:
+    every third has an all-zero diagonal, which sends every pivot through the
+    swap or hyperbolic step, and every third is U^T D U with a zero in D,
+    U unit upper triangular, so it is degenerate."""
+    rng = random.Random(seed)
+    for k in range(300):
+        n = rng.randint(2, 7)
+        if k % 3 == 2:
+            d = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(n)]
+            d[rng.randrange(n)] = 0
+            u = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+                 for i in range(n)]
+            yield [[sum(u[t][i] * d[t] * u[t][j] for t in range(n)) for j in range(n)]
+                   for i in range(n)]
+            continue
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        g = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if k % 3 == 1:
+            for i in range(n):
+                g[i][i] = 0
+        yield g
+
+
+def test_invariants_match_the_fraction_route(monkeypatch):
+    calls = []
+    real = qforms._factor
+    monkeypatch.setattr(qforms, "_factor",
+                        lambda n, parts=(): calls.append((n, tuple(parts))) or real(n, parts))
+
+    def run(f, q):
+        calls.clear()
+        try:
+            out = json.dumps(f(q).to_json(), sort_keys=True)
+        except (InputError, BoundError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        return out, list(calls)
+
+    outcomes = set()
+    for g in [*seeded_grams(), *seeded_dense_grams(), *seeded_large_prime_grams(),
+              *seeded_integral_grams()]:
+        q = QForm.from_gram(g)
+        want = run(invariants_by_fractions, q)
+        assert run(invariants, q) == want, g
+        outcomes.add(want[0].split(":")[0] if not want[0].startswith("{") else "answered")
+    assert outcomes == {"answered", "InputError", "BoundError"}
 
 
 def _report(q):
@@ -686,8 +770,8 @@ def test_even_rank_rejected():
 
 def test_even_clifford_split_diagonalizes_once(monkeypatch):
     calls = []
-    real = qforms.diagonalize
-    monkeypatch.setattr(qforms, "diagonalize", lambda q: calls.append(q) or real(q))
+    real = qforms._diagonal_pairs
+    monkeypatch.setattr(qforms, "_diagonal_pairs", lambda q: calls.append(q) or real(q))
     assert even_clifford_split(k3_primitive(2)).split
     assert len(calls) == 1
     degenerate = QForm.from_gram([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
